@@ -18,7 +18,12 @@ Five arms run the identical seeded RP session:
   the root, so span assembly for them is skipped;
 * **timeseries** — ``recording(timeseries=TimeSeriesCollector())``:
   windowed sim-time telemetry on top of the recording arm (window
-  bucketing per event plus the end-of-window engine/ledger snapshots).
+  bucketing per event plus the end-of-window engine/ledger snapshots);
+* **always-on checks** — the drain-time liveness report and health
+  watchdogs the runner evaluates on every run.  They cannot be switched
+  off, so they are timed directly on each uninstrumented run's finished
+  collectors, and their ratio is their share of that session (which
+  already includes them).
 
 Each arm is repeated and the *median* wall clock kept (the arms
 alternate, so a warmup or turbo drift hits all three equally).  The
@@ -47,7 +52,9 @@ from benchmarks.conftest import record
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario, run_protocol_detailed
 from repro.obs import NULL_INSTRUMENTATION, Instrumentation, TimeSeriesCollector
+from repro.obs.health import evaluate_health
 from repro.protocols.rp import RPProtocolFactory
+from repro.sim.faults import check_liveness
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_obs_overhead.json"
 
@@ -86,7 +93,15 @@ def _time_arm(built, make_instr) -> tuple[float, object]:
     )
     elapsed = time.perf_counter() - t0
     instr.close()
-    return elapsed, artifacts.summary
+    return elapsed, artifacts
+
+
+def _time_checks(artifacts) -> float:
+    """Wall clock of the runner's always-on drain-time checks."""
+    t0 = time.perf_counter()
+    liveness = check_liveness(artifacts.log)
+    evaluate_health(artifacts.log, artifacts.ledger, liveness=liveness)
+    return time.perf_counter() - t0
 
 
 def test_obs_overhead():
@@ -97,12 +112,16 @@ def test_obs_overhead():
     for make_instr in ARMS.values():
         _time_arm(built, make_instr)
     times: dict[str, list[float]] = {name: [] for name in ARMS}
+    check_times: list[float] = []
     summaries: dict[str, object] = {}
     for _ in range(REPEATS):
         for name, make_instr in ARMS.items():
-            elapsed, summary = _time_arm(built, make_instr)
+            elapsed, artifacts = _time_arm(built, make_instr)
             times[name].append(elapsed)
-            summaries[name] = summary
+            summaries[name] = artifacts.summary
+            if name == "uninstrumented":
+                assert artifacts.health.ok and artifacts.liveness.ok
+                check_times.append(_time_checks(artifacts))
 
     # All arms must have simulated the exact same session.
     for name in OVERHEAD_ARMS:
@@ -113,6 +132,8 @@ def test_obs_overhead():
     medians = {name: statistics.median(ts) for name, ts in times.items()}
     base = medians["uninstrumented"]
     overhead = {name: medians[name] / base - 1.0 for name in OVERHEAD_ARMS}
+    medians["always_on_checks"] = statistics.median(check_times)
+    overhead["always_on_checks"] = medians["always_on_checks"] / base
 
     payload = {
         "config": {
@@ -138,7 +159,7 @@ def test_obs_overhead():
                 f"  (+{overhead[name] * 100:.1f}%)"
                 if name in overhead else ""
             )
-            for name in ARMS
+            for name in medians
         )
         + f"\nwritten to {RESULT_PATH.name}"
     )
@@ -148,4 +169,8 @@ def test_obs_overhead():
     assert overhead["noop_sink"] <= 0.25, (
         f"no-op instrumentation overhead {overhead['noop_sink']:.1%}"
         " exceeds even the lenient 25% ceiling"
+    )
+    assert overhead["always_on_checks"] <= 0.05, (
+        f"always-on checks take {overhead['always_on_checks']:.1%}"
+        " of an uninstrumented session"
     )

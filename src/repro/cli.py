@@ -31,17 +31,14 @@ Subcommands cover the common workflows without writing Python:
 ``python -m repro campaign``
     The full figure-reproduction campaign (``--telemetry`` adds
     per-protocol attempt telemetry next to the sweeps).
-``python -m repro chaos``
-    Fault-injection sweep: all five protocols in their hardened
+``python -m repro chaos --axis {faults,churn,both}``
+    Perturbation sweep: all five protocols in their hardened
     configurations against escalating fault intensity (peer crashes,
-    burst loss, link downs, recovery black-holing).  Exits non-zero if
-    any recovery neither completed nor abandoned (a liveness violation).
-``python -m repro churn``
-    Membership-churn sweep: all five protocols against escalating
-    join/leave churn, with incremental plan repair audited against
-    from-scratch planning.  Exits non-zero on a liveness violation, a
-    send reaching the membership boundary, or a repair quality gap
-    beyond 1%.
+    burst loss, link downs, recovery black-holing), join/leave churn
+    (incremental plan repair audited against from-scratch planning), or
+    both at once.  Exits non-zero on a liveness violation, a send
+    reaching the membership boundary, a repair quality gap beyond 1%,
+    or an invariant-watchdog violation.
 """
 
 from __future__ import annotations
@@ -202,7 +199,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     factory = PROTOCOLS[args.protocol]()
     membership = None
     if args.churn > 0:
-        from repro.experiments.churn import churn_horizon
+        from repro.experiments.chaos import chaos_horizon
         from repro.sim.membership import random_membership_schedule
         from repro.sim.rng import RngStreams
 
@@ -210,7 +207,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             args.churn,
             RngStreams(args.seed).get(f"membership-schedule:{args.churn:g}"),
             [c for c in built.tree.clients if c != built.tree.root],
-            churn_horizon(built.config),
+            chaos_horizon(built.config),
         )
     instr = Instrumentation.recording(jsonl_path=args.jsonl)
     try:
@@ -235,37 +232,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if args.jsonl is not None and not args.json:
         print(f"\nevent log written to {args.jsonl}")
     return 0
-
-
-def _hardened_factory(name: str) -> ProtocolFactory:
-    """One protocol in its hardened (guaranteed-termination) shape —
-    what a black-holed run needs to abandon instead of hanging."""
-    from repro.experiments.chaos import SRM_MAX_REQUEST_ROUNDS
-    from repro.protocols.naive import NaiveConfig
-    from repro.protocols.policy import RecoveryPolicy
-    from repro.protocols.rma import RMAConfig
-    from repro.protocols.rp import RPConfig
-    from repro.protocols.source import SourceConfig
-    from repro.protocols.srm import SRMConfig
-
-    policy = RecoveryPolicy.hardened()
-    if name == "srm":
-        return SRMProtocolFactory(
-            SRMConfig(max_request_rounds=SRM_MAX_REQUEST_ROUNDS)
-        )
-    return {
-        "rp": lambda: RPProtocolFactory(RPConfig(recovery_policy=policy)),
-        "rma": lambda: RMAProtocolFactory(RMAConfig(recovery_policy=policy)),
-        "source": lambda: SourceProtocolFactory(
-            SourceConfig(recovery_policy=policy)
-        ),
-        "random": lambda: RandomListProtocolFactory(
-            NaiveConfig(recovery_policy=policy)
-        ),
-        "nearest": lambda: NearestPeerProtocolFactory(
-            NaiveConfig(recovery_policy=policy)
-        ),
-    }[name]()
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
@@ -308,7 +274,9 @@ def _cmd_health(args: argparse.Namespace) -> int:
             request_blackhole_prob=args.blackhole,
             repair_blackhole_prob=args.blackhole,
         )
-        factory = _hardened_factory(args.protocol)
+        from repro.experiments.chaos import hardened_factory
+
+        factory = hardened_factory(args.protocol)
     else:
         factory = PROTOCOLS[args.protocol]()
     timeseries = TimeSeriesCollector(
@@ -606,12 +574,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos",
-        help="fault-injection sweep: hardened recovery vs fault intensity",
+        help="perturbation sweep: hardened recovery vs faults, churn or both",
+    )
+    p_chaos.add_argument(
+        "--axis", choices=("faults", "churn", "both"), default="faults",
+        help="what to perturb: fault injection, membership churn, or both"
+        " at the same intensity (default faults)",
     )
     p_chaos.add_argument("--seeds", type=int, nargs="+", default=[1])
     p_chaos.add_argument(
         "--intensity", type=float, nargs="+", default=None, metavar="I",
-        help="fault intensities in [0, 1] (default: 0.0 0.3 0.6)",
+        help="intensities in [0, 1] (default: 0.0 0.3 0.6 for faults and"
+        " both, 0.0 0.4 0.8 for churn)",
     )
     p_chaos.add_argument(
         "--routers", type=int, default=60, help="backbone router count"
@@ -631,97 +605,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a previously saved chaos sweep instead of simulating",
     )
     p_chaos.set_defaults(func=_cmd_chaos)
-
-    p_churn = sub.add_parser(
-        "churn",
-        help="membership-churn sweep: join/leave dynamics vs plan repair",
-    )
-    p_churn.add_argument("--seeds", type=int, nargs="+", default=[1])
-    p_churn.add_argument(
-        "--intensity", type=float, nargs="+", default=None, metavar="I",
-        help="churn intensities in [0, 1] (default: 0.0 0.4 0.8)",
-    )
-    p_churn.add_argument(
-        "--routers", type=int, default=60, help="backbone router count"
-    )
-    p_churn.add_argument(
-        "--packets", type=int, default=20, help="data stream length"
-    )
-    p_churn.add_argument(
-        "--loss", type=float, default=0.05, help="per-link loss probability"
-    )
-    p_churn.add_argument(
-        "--save", metavar="PATH", default=None,
-        help="save the sweep results as JSON",
-    )
-    p_churn.add_argument(
-        "--load", metavar="PATH", default=None,
-        help="render a previously saved churn sweep instead of simulating",
-    )
-    p_churn.set_defaults(func=_cmd_churn)
     return parser
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos import (
-        DEFAULT_INTENSITIES,
-        ChaosSweepResult,
-        run_chaos_sweep,
-    )
+    from repro.experiments.chaos import ChaosSweepResult, run_chaos_sweep
 
     if args.load is not None:
         sweep = ChaosSweepResult.load(args.load)
     else:
-        intensities = (
-            tuple(args.intensity) if args.intensity is not None
-            else DEFAULT_INTENSITIES
-        )
         sweep = run_chaos_sweep(
             seeds=tuple(args.seeds),
-            intensities=intensities,
+            intensities=args.intensity,
             num_routers=args.routers,
             num_packets=args.packets,
             loss_prob=args.loss,
             progress=print,
+            axis=args.axis,
         )
     print(sweep.render())
     if args.save is not None:
         sweep.save(args.save)
         print(f"\nsweep saved to {args.save}")
-    # The hardened-recovery gates: a faulted run may abandon, it must
-    # never silently hang a detected loss, and the invariant watchdogs
-    # (conservation, quiescence) must stay silent on every cell.
-    return 1 if sweep.total_violations or sweep.total_health_violations else 0
-
-
-def _cmd_churn(args: argparse.Namespace) -> int:
-    from repro.experiments.churn import (
-        DEFAULT_INTENSITIES,
-        ChurnSweepResult,
-        run_churn_sweep,
-    )
-
-    if args.load is not None:
-        sweep = ChurnSweepResult.load(args.load)
-    else:
-        intensities = (
-            tuple(args.intensity) if args.intensity is not None
-            else DEFAULT_INTENSITIES
-        )
-        sweep = run_churn_sweep(
-            seeds=tuple(args.seeds),
-            intensities=intensities,
-            num_routers=args.routers,
-            num_packets=args.packets,
-            loss_prob=args.loss,
-            progress=print,
-        )
-    print(sweep.render())
-    if args.save is not None:
-        sweep.save(args.save)
-        print(f"\nsweep saved to {args.save}")
-    # The churn gates: recoveries terminate, no send ever reaches the
-    # membership boundary, repaired plans stay within 1% of scratch.
+    # The hardened-recovery gates: recoveries terminate (abandoning is
+    # allowed, hanging is not), no send reaches the membership boundary,
+    # repaired plans stay within 1% of scratch, and the invariant
+    # watchdogs stay silent on every cell.
     return 0 if sweep.gates_pass else 1
 
 

@@ -30,8 +30,9 @@ from repro.sim.engine import EventQueue
 from repro.sim.faults import (
     FaultInjector,
     FaultSchedule,
+    LivenessError,
     LivenessReport,
-    RecoveryLivenessChecker,
+    check_liveness,
 )
 from repro.sim.membership import MembershipDirector, MembershipSchedule
 from repro.sim.network import SimNetwork
@@ -75,16 +76,21 @@ class RunArtifacts:
     run was given an :class:`~repro.obs.instrumentation.Instrumentation`
     with at least one consuming sink.  ``faults`` is the run's live
     injector (``None`` for fault-free runs) — its ``counts`` carry the
-    per-kind injection totals; ``liveness`` is the drain-time
-    termination report, only produced for faulted runs.
+    per-kind injection totals.
     """
 
     summary: RunSummary
     log: RecoveryLog
     ledger: BandwidthLedger
+    #: Drain-time termination report (:func:`~repro.sim.faults.check_liveness`).
+    liveness: LivenessReport
+    #: Invariant watchdog verdict (see :mod:`repro.obs.health`): the
+    #: conservation and quiescence checks on every run, plus
+    #: ``membership.tx_drop`` on churned runs and ``progress.stall``
+    #: when ``timeseries`` is armed.
+    health: HealthReport
     obs: ObsReport | None = None
     faults: FaultInjector | None = None
-    liveness: LivenessReport | None = None
     #: The run's live membership director (``None`` for churn-free
     #: runs) — its ``counts`` carry the per-kind composition totals.
     membership: MembershipDirector | None = None
@@ -95,10 +101,6 @@ class RunArtifacts:
     #: carried a :class:`~repro.obs.timeseries.TimeSeriesCollector`
     #: (``recording(timeseries=...)``).  Finalized at the drain cutoff.
     timeseries: TimeSeriesCollector | None = None
-    #: Invariant watchdog verdict (see :mod:`repro.obs.health`); only
-    #: produced alongside ``timeseries`` — uninstrumented harnesses run
-    #: :func:`~repro.obs.health.evaluate_health` themselves.
-    health: HealthReport | None = None
 
 
 def run_protocol(
@@ -140,10 +142,10 @@ def run_protocol_detailed(
     ``faults`` injects a :class:`~repro.sim.faults.FaultSchedule` into
     the network.  ``None`` *and* the null schedule construct no injector
     and touch no extra RNG lane — fault-free runs are byte-identical to
-    runs of a build without the fault subsystem.  Faulted runs assert
-    the liveness invariant after the drain (every detected loss
-    recovered or explicitly abandoned) and carry the report plus the
-    injection counters in the returned artifacts.
+    runs of a build without the fault subsystem.  Faulted runs raise
+    :class:`~repro.sim.faults.LivenessError` after the drain unless
+    every detected loss recovered or was explicitly abandoned, and
+    carry the injection counters in the returned artifacts.
 
     ``membership`` drives join/leave churn through a
     :class:`~repro.sim.membership.MembershipDirector`.  ``None`` *and*
@@ -155,15 +157,18 @@ def run_protocol_detailed(
     support it (:meth:`~repro.protocols.rp.RPProtocolFactory.attach_membership`),
     and assert the same liveness invariant as faulted runs.
 
-    When the instrumentation carries a time-series collector
+    Every run ends with the drain-time liveness report and the
+    :mod:`~repro.obs.health` watchdogs, both pure reads of the finished
+    collectors; violations are mirrored onto the event bus as
+    :class:`~repro.obs.events.HealthEvent` records.  When the
+    instrumentation carries a time-series collector
     (``recording(timeseries=...)``), the collector is armed with the
     live engine and ledger before the stream starts, the array
     dissemination fast path is disarmed (its batched ledger charges
     would smear per-window bandwidth — the same contract as the
-    profiler), and after the drain the collector is finalized and the
-    :mod:`~repro.obs.health` watchdogs run; violations are mirrored
-    onto the event bus as :class:`~repro.obs.events.HealthEvent`
-    records.  ``health_config`` tunes the watchdog thresholds.
+    profiler), and after the drain the collector is finalized and feeds
+    the ``progress.stall`` watchdog.  ``health_config`` tunes the
+    watchdog thresholds.
     """
     config = built.config
     instr = instrumentation
@@ -266,38 +271,38 @@ def run_protocol_detailed(
     # Refund fast-path hop/drop charges whose scalar transmit event
     # would have fallen after the drain cutoff.
     network.finalize_fast_dissem(events.now)
-    liveness = None
     if director is not None:
         # Membership events past the drain cutoff never fired; cancel
         # them so they don't read as stuck protocol timers below.
         director.cancel_pending()
-    if injector is not None or director is not None:
+    liveness = check_liveness(log, events)
+    if not liveness.ok and (injector is not None or director is not None):
         # The hardened-recovery invariant: a faulted or churned run may
         # abandon, but it must never silently hang a detected loss.
-        liveness = RecoveryLivenessChecker().assert_terminated(log, events)
+        raise LivenessError(liveness)
 
-    health = None
     if timeseries is not None:
         timeseries.finalize(events.now)
-        health = evaluate_health(
-            log,
-            ledger,
-            membership_tx_drops=(
-                director.counts.get("member.tx_drop", 0)
-                if director is not None else None
-            ),
-            timeseries=timeseries,
-            config=health_config,
-        )
-        if instr is not None and instr.bus.active:
-            for violation in health.violations:
-                instr.bus.emit(HealthEvent(
-                    time=events.now,
-                    check=violation.check,
-                    message=violation.message,
-                    window_start=violation.window_start,
-                    window_end=violation.window_end,
-                ))
+    health = evaluate_health(
+        log,
+        ledger,
+        liveness=liveness,
+        membership_tx_drops=(
+            director.counts.get("member.tx_drop", 0)
+            if director is not None else None
+        ),
+        timeseries=timeseries,
+        config=health_config,
+    )
+    if instr is not None and instr.bus.active:
+        for violation in health.violations:
+            instr.bus.emit(HealthEvent(
+                time=events.now,
+                check=violation.check,
+                message=violation.message,
+                window_start=violation.window_start,
+                window_end=violation.window_end,
+            ))
 
     summary = summarize_run(
         protocol=factory.name,
@@ -316,10 +321,11 @@ def run_protocol_detailed(
             strategies=getattr(factory, "last_strategies", None) or None,
         )
     return RunArtifacts(
-        summary=summary, log=log, ledger=ledger, obs=obs,
-        faults=injector, liveness=liveness, membership=director,
+        summary=summary, log=log, ledger=ledger,
+        liveness=liveness, health=health, obs=obs,
+        faults=injector, membership=director,
         spans=tracer.store if tracer is not None else None,
-        timeseries=timeseries, health=health,
+        timeseries=timeseries,
     )
 
 

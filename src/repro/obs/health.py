@@ -1,10 +1,11 @@
 """Invariant watchdogs: is the run healthy, window by window?
 
-The liveness checker (:mod:`repro.sim.faults`) asks one question at one
-instant — "did every detected loss terminate by drain?".  The watchdogs
-here generalize that into a small battery of invariants evaluated over
-the run's :class:`~repro.obs.timeseries.TimeSeriesCollector` windows and
-its end-of-run collectors:
+The liveness report (:func:`repro.sim.faults.check_liveness`) answers
+one question at one instant — "did every detected loss terminate by
+drain?".  The watchdogs here build a small battery of invariants on it,
+the run's end-of-run collectors and, when armed, its
+:class:`~repro.obs.timeseries.TimeSeriesCollector` windows.  The runner
+evaluates them after every drain:
 
 * ``progress.stall`` — at least one recovery stayed open across
   ``stall_windows`` consecutive windows in which **no** attempt changed
@@ -23,8 +24,8 @@ its end-of-run collectors:
   had to suppress it).  Must be zero: teardown is supposed to silence
   agents *before* they can send.
 * ``quiescence.drain`` — recoveries still neither recovered nor
-  abandoned after the drain cutoff (the liveness invariant, re-checked
-  here so unfaulted instrumented runs get it too).
+  abandoned after the drain cutoff (the liveness report's verdict, as
+  a named check; only faulted or churned runs also raise on it).
 
 Each failure is a typed :class:`HealthViolation` carrying the offending
 sim-time window; :func:`evaluate_health` returns them in a
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 
 from repro.metrics.collectors import BandwidthLedger, RecoveryLog
 from repro.obs.timeseries import TimeSeriesCollector, render_sparklines
+from repro.sim.faults import LivenessReport, check_liveness
 
 #: Format version; bump on breaking schema changes.
 HEALTH_SCHEMA_VERSION = 1
@@ -220,19 +222,24 @@ def evaluate_health(
     log: RecoveryLog,
     ledger: BandwidthLedger,
     *,
+    liveness: LivenessReport | None = None,
     membership_tx_drops: int | None = None,
     timeseries: TimeSeriesCollector | None = None,
     config: HealthConfig | None = None,
 ) -> HealthReport:
     """Run every applicable watchdog; purely read-only.
 
-    ``membership_tx_drops`` is the director's ``member.tx_drop`` count
-    (``None`` for churn-free runs, which skips the check); the stall
-    watchdog runs only when a ``timeseries`` collector is supplied —
-    the other checks need no windows, so uninstrumented chaos/churn
-    cells can still be health-gated for free.
+    ``liveness`` is the run's drain-time report (computed from ``log``
+    when not given); ``membership_tx_drops`` is the director's
+    ``member.tx_drop`` count (``None`` for churn-free runs, which skips
+    the check); the stall watchdog runs only when a ``timeseries``
+    collector is supplied — the other checks need no windows, so every
+    run is health-gated for free.
     """
     config = config if config is not None else HealthConfig()
+    if liveness is None:
+        liveness = check_liveness(log)
+    pending = liveness.violations
     violations: list[HealthViolation] = []
     checks: list[str] = []
 
@@ -241,21 +248,20 @@ def evaluate_health(
         violations.extend(_check_stall(timeseries, config))
 
     checks.append("conservation.recovery")
-    unterminated = log.unterminated()
-    accounted = log.num_recovered + log.num_abandoned + len(unterminated)
+    accounted = log.num_recovered + log.num_abandoned + pending
     if log.num_detected != accounted:
         violations.append(HealthViolation(
             check="conservation.recovery",
             message=(
                 f"detected {log.num_detected} != recovered"
                 f" {log.num_recovered} + abandoned {log.num_abandoned}"
-                f" + pending {len(unterminated)}"
+                f" + pending {pending}"
             ),
             details={
                 "detected": log.num_detected,
                 "recovered": log.num_recovered,
                 "abandoned": log.num_abandoned,
-                "pending": len(unterminated),
+                "pending": pending,
             },
         ))
 
@@ -287,16 +293,16 @@ def evaluate_health(
             ))
 
     checks.append("quiescence.drain")
-    if unterminated:
-        sample = unterminated[:5]
+    if pending:
+        sample = list(liveness.unterminated[:5])
         violations.append(HealthViolation(
             check="quiescence.drain",
             message=(
-                f"{len(unterminated)} recovery(ies) neither recovered nor"
+                f"{pending} recovery(ies) neither recovered nor"
                 f" abandoned at drain, e.g. {sample}"
             ),
             details={
-                "pending": len(unterminated),
+                "pending": pending,
                 "sample": [list(key) for key in sample],
             },
         ))

@@ -118,11 +118,9 @@ class RunFingerprint:
             "data_hops": summary.data_hops,
             "sim_time": summary.sim_time,
             "events_processed": summary.events_processed,
+            "health_violations": len(artifacts.health.violations),
         }
-        health = getattr(artifacts, "health", None)
-        if health is not None:
-            counters["health_violations"] = len(health.violations)
-        timeseries = getattr(artifacts, "timeseries", None)
+        timeseries = artifacts.timeseries
         series = timeseries.digests() if timeseries is not None else {}
         full_meta = {"protocol": summary.protocol}
         if meta:

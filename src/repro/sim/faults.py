@@ -30,9 +30,9 @@ schedule constructs no injector at all, touches no extra stream and
 executes byte-for-byte the pre-fault code path — enforced by the
 fault-free equivalence suite and the CI ``cmp`` smoke.
 
-:class:`RecoveryLivenessChecker` closes the loop: after a faulted run
-drains, every detected loss must have terminated in ``recovered`` or an
-explicit ``abandoned`` record — a silent hang is a protocol bug, not a
+:func:`check_liveness` closes the loop: after a faulted run drains,
+every detected loss must have terminated in ``recovered`` or an explicit
+``abandoned`` record — a silent hang is a protocol bug, not a
 measurement.
 """
 
@@ -353,7 +353,7 @@ class FaultInjector:
 
 @dataclass(frozen=True)
 class LivenessReport:
-    """What :class:`RecoveryLivenessChecker` found at drain time."""
+    """What :func:`check_liveness` found at drain time."""
 
     #: (client, seq) detections that neither recovered nor abandoned.
     unterminated: tuple[tuple[int, int], ...]
@@ -388,27 +388,20 @@ class LivenessError(RuntimeError):
         )
 
 
-class RecoveryLivenessChecker:
-    """Asserts the hardened-recovery invariant at drain time: every
-    detected loss ends in ``recovered`` or an explicit ``abandoned``
-    record.  Faulted runs call :meth:`assert_terminated` after the
-    drain; the chaos sweep additionally folds the reports into its
-    zero-violations acceptance gate."""
+def check_liveness(
+    log: "RecoveryLog", events: "EventQueue | None" = None
+) -> LivenessReport:
+    """The hardened-recovery invariant at drain time: every detected
+    loss ends in ``recovered`` or an explicit ``abandoned`` record.
 
-    def check(
-        self, log: "RecoveryLog", events: "EventQueue | None" = None
-    ) -> LivenessReport:
-        return LivenessReport(
-            unterminated=tuple(log.unterminated()),
-            recovered=log.num_recovered,
-            abandoned=log.num_abandoned,
-            pending_timers=events.pending if events is not None else 0,
-        )
-
-    def assert_terminated(
-        self, log: "RecoveryLog", events: "EventQueue | None" = None
-    ) -> LivenessReport:
-        report = self.check(log, events)
-        if not report.ok:
-            raise LivenessError(report)
-        return report
+    The runner calls this once after every drain and hands the report
+    to :func:`~repro.obs.health.evaluate_health`; faulted and churned
+    runs raise :class:`LivenessError` when it is not ``ok``.  This is
+    the only reader of :meth:`RecoveryLog.unterminated`.
+    """
+    return LivenessReport(
+        unterminated=tuple(log.unterminated()),
+        recovered=log.num_recovered,
+        abandoned=log.num_abandoned,
+        pending_timers=events.pending if events is not None else 0,
+    )

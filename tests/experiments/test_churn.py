@@ -1,17 +1,20 @@
-"""Tests for the churn sweep (membership churn vs hardened recovery)."""
+"""Tests for the chaos sweep's churn axis (membership churn vs hardened
+recovery)."""
 
 import json
 
 import pytest
 
-from repro.experiments.churn import (
-    ChurnPoint,
-    ChurnRunRecord,
-    ChurnSweepResult,
-    churn_horizon,
-    run_churn_sweep,
+from repro.experiments.chaos import (
+    ChaosPoint,
+    ChaosRunRecord,
+    ChaosSweepResult,
+    run_chaos_sweep,
 )
-from repro.experiments.config import ScenarioConfig
+
+
+def run_churn_sweep(**kwargs):
+    return run_chaos_sweep(axis="churn", **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +36,13 @@ class TestRunChurnSweep:
 
     def test_structure_and_gates(self, small_sweep):
         assert small_sweep.intensities == [0.0, 0.6]
+        assert small_sweep.axis == "churn"
         assert small_sweep.protocols == ["RP", "SRM", "RMA", "SOURCE", "NEAREST"]
         for point in small_sweep.points:
             # one record per protocol x seed
             assert len(point.records) == 5
+            # the churn axis injects no faults
+            assert all(r.fault_counts is None for r in point.records)
         assert small_sweep.total_violations == 0
         assert small_sweep.total_tx_drops == 0
         assert small_sweep.gates_pass
@@ -92,7 +98,7 @@ class TestSerialization:
     def test_round_trip(self, small_sweep, tmp_path):
         path = tmp_path / "churn.json"
         small_sweep.save(path)
-        loaded = ChurnSweepResult.load(path)
+        loaded = ChaosSweepResult.load(path)
         assert loaded.to_dict() == small_sweep.to_dict()
         assert loaded.points[1].mean_latency(
             "RP"
@@ -110,10 +116,10 @@ class TestSerialization:
 
     def test_from_dict_rejects_wrong_kind(self):
         with pytest.raises(ValueError):
-            ChurnSweepResult.from_dict({"kind": "sweep"})
+            ChaosSweepResult.from_dict({"kind": "sweep"})
 
     def test_record_round_trips_none_latency(self):
-        record = ChurnRunRecord(
+        record = ChaosRunRecord(
             protocol="RP", seed=1, intensity=0.6,
             losses_detected=3, losses_recovered=2, losses_abandoned=1,
             avg_latency=None,
@@ -122,16 +128,12 @@ class TestSerialization:
             repair_events=3, repair_replans=4, repair_fraction=0.1,
             repair_quality_gap=0.0,
         )
-        result = ChurnSweepResult(
+        result = ChaosSweepResult(
             seeds=[1], num_routers=10, num_packets=5, loss_prob=0.05,
             protocols=["RP"],
-            points=[ChurnPoint(intensity=0.6, records=[record])],
+            points=[ChaosPoint(intensity=0.6, records=[record])],
+            axis="churn",
         )
-        restored = ChurnSweepResult.from_dict(result.to_dict())
+        restored = ChaosSweepResult.from_dict(result.to_dict())
         assert restored.points[0].records[0] == record
 
-
-def test_churn_horizon_matches_chaos_horizon():
-    config = ScenarioConfig(seed=1, num_routers=10, loss_prob=0.05,
-                            num_packets=20)
-    assert churn_horizon(config) == 20 * 10.0 + 2 * 100.0

@@ -241,3 +241,40 @@ def test_clean_run_raises_no_violations():
     ]
     assert artifacts.timeseries is not None
     assert artifacts.timeseries.num_windows > 0
+
+
+def test_plain_run_carries_always_on_verdicts():
+    # No instrumentation, no faults, no churn: the runner still audits
+    # the run, and the fingerprint records the verdict.
+    from repro.obs.ledger import RunFingerprint
+    from repro.protocols.rp import RPProtocolFactory
+
+    artifacts = run_protocol_detailed(
+        build_scenario(_SCENARIO), RPProtocolFactory()
+    )
+    assert artifacts.liveness.ok
+    assert artifacts.liveness.recovered == artifacts.log.num_recovered > 0
+    health = artifacts.health
+    assert health.ok, [v.render() for v in health.violations]
+    assert {
+        "conservation.recovery", "conservation.ledger", "quiescence.drain",
+    } <= set(health.checks_run)
+    fingerprint = RunFingerprint.from_artifacts(
+        "plain", _SCENARIO, artifacts
+    )
+    assert fingerprint.counters["health_violations"] == 0
+
+
+def test_evaluate_health_reads_the_liveness_report():
+    # quiescence.drain and conservation.recovery take the pending set
+    # from the liveness report they are handed.
+    from repro.sim.faults import LivenessReport
+
+    log = RecoveryLog()
+    log.loss_detected(3, 0, 1.0)
+    log.recovered(3, 0, 2.0)
+    hung = LivenessReport(unterminated=((3, 1),), recovered=1, abandoned=0)
+    report = evaluate_health(log, BandwidthLedger(), liveness=hung)
+    assert {v.check for v in report.violations} == {
+        "conservation.recovery", "quiescence.drain",
+    }

@@ -12,7 +12,7 @@ from repro.sim.faults import (
     LinkDownWindow,
     LivenessError,
     LivenessReport,
-    RecoveryLivenessChecker,
+    check_liveness,
     random_fault_schedule,
 )
 from repro.sim.packet import Packet, PacketKind
@@ -188,13 +188,13 @@ class TestLiveness:
         log.loss_detected(4, 0, 1.0)
         log.recovered(3, 0, 2.0)
         log.abandoned(3, 1, 3.0)
-        checker = RecoveryLivenessChecker()
-        report = checker.check(log)
+        report = check_liveness(log)
         assert report.unterminated == ((4, 0),)
         assert report.recovered == 1
         assert report.abandoned == 1
+        assert not report.ok
         with pytest.raises(LivenessError) as excinfo:
-            checker.assert_terminated(log)
+            raise LivenessError(report)
         assert "(4, 0)" in str(excinfo.value)
         assert excinfo.value.report.violations == 1
 
@@ -204,7 +204,7 @@ class TestLiveness:
         log = RecoveryLog()
         log.loss_detected(3, 0, 1.0)
         log.abandoned(3, 0, 2.0)
-        report = RecoveryLivenessChecker().assert_terminated(log)
+        report = check_liveness(log)
         assert report.ok
 
 

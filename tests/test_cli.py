@@ -25,6 +25,7 @@ class TestParser:
 
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
+        assert args.axis == "faults"
         assert args.seeds == [1]
         assert args.intensity is None
         assert args.routers == 60
@@ -149,6 +150,22 @@ class TestChaosCommand:
         rc = main(["chaos", "--load", str(path)])
         assert rc == 0
         assert "Chaos sweep" in capsys.readouterr().out
+
+    def test_chaos_axis_choices(self):
+        args = build_parser().parse_args(["chaos", "--axis", "both"])
+        assert args.axis == "both"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["chaos", "--axis", "weather"])
+
+    def test_chaos_churn_axis_gates(self, capsys):
+        rc = main([
+            "chaos", "--axis", "churn", "--seeds", "1", "--intensity", "0.5",
+            "--routers", "20", "--packets", "4",
+        ])
+        assert rc == 0  # non-zero would mean a failed gate
+        out = capsys.readouterr().out
+        assert "axis=churn" in out
+        assert "member tx drops: 0" in out
 
 
 class TestRunnerArtifacts:
