@@ -41,6 +41,7 @@ from repro.obs.instrumentation import Instrumentation
 from repro.obs.profiler import Profiler
 from repro.protocols.rp import RPProtocolFactory
 from repro.sim.engine import EventQueue
+from tests.net.lca_oracles import naive_first_common_router, naive_is_ancestor
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_core_hotpath.json"
 
@@ -63,10 +64,10 @@ class NaiveTreeView(MulticastTree):
     walks for ancestor queries, and ``clients`` recomputed per access."""
 
     def first_common_router(self, u: int, v: int) -> int:
-        return self.naive_first_common_router(u, v)
+        return naive_first_common_router(self, u, v)
 
     def is_ancestor(self, ancestor: int, node: int) -> bool:
-        return self.naive_is_ancestor(ancestor, node)
+        return naive_is_ancestor(self, ancestor, node)
 
     @property
     def clients(self) -> list[int]:
@@ -161,10 +162,9 @@ def test_core_hotpath(tmp_path):
     profiler.add("plan.lca", fast_lca_seconds, count=queries)
 
     naive_sample = pairs[: max(1, queries // 20)]  # naive is ~50x slower
-    naive_lca = tree.naive_first_common_router
     t0 = time.perf_counter()
     for u, v in naive_sample:
-        naive_lca(u, v)
+        naive_first_common_router(tree, u, v)
     naive_lca_seconds = time.perf_counter() - t0
 
     fast_lca_qps = queries / fast_lca_seconds

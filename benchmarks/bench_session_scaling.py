@@ -1,13 +1,18 @@
-"""Session-scaling benchmark: the array dissemination fast path.
+"""Session-scaling benchmark: array dissemination.
 
-Two arms, both writing ``BENCH_sim_scaling.json``:
+Three arms, all writing ``BENCH_sim_scaling.json``:
 
 * **reference** (always on): the 600-router / 274-client reference
-  scenario run twice — scalar (``REPRO_FAST_DISSEM=0``) and fast — with
-  a bit-identity check (summaries modulo ``events_processed``, ledgers
-  exactly) and a **>= 5x event-count reduction** assert.  Wall-clock
-  ratio is recorded but not asserted (CI machines are noisy; the event
-  count is the deterministic proxy).
+  scenario run twice — hop by hop (walkers forced by patching
+  ``SimNetwork.enable_fast_dissem``) and array — with a bit-identity
+  check (summaries modulo ``events_processed``, ledgers exactly) and a
+  **>= 5x event-count reduction** assert.  Wall-clock ratio is recorded
+  but not asserted (CI machines are noisy; the event count is the
+  deterministic proxy).
+* **lossy recovery** (always on): the same scenario in the
+  ``ScenarioConfig`` default mode, where recovery traffic also draws
+  losses, for every protocol: events per session hop by hop and array,
+  bit-identity asserted, RP's event reduction asserted >= 2x.
 * **100k clients** (``REPRO_BENCH_XL=1``): a full session — stream,
   loss, recovery, drain — over a ~230k-router topology with 100k+
   clients actually *executes* end-to-end, under a wall-clock budget for
@@ -30,8 +35,11 @@ from benchmarks.conftest import record
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario, run_protocol_detailed
 from repro.net.routing import LandmarkDistanceBackend
+from repro.protocols.rma import RMAProtocolFactory
+from repro.protocols.rp import RPProtocolFactory
 from repro.protocols.source import SourceProtocolFactory
-from repro.sim.network import FAST_DISSEM_ENV
+from repro.protocols.srm import SRMProtocolFactory
+from repro.sim.network import SimNetwork
 
 RESULT_PATH = (
     pathlib.Path(__file__).resolve().parents[1] / "BENCH_sim_scaling.json"
@@ -40,6 +48,9 @@ RESULT_PATH = (
 #: Minimum event-count reduction the fast path must deliver on the
 #: reference scenario (deterministic, machine-independent).
 REFERENCE_MIN_EVENT_RATIO = 5.0
+
+#: Minimum RP event-count reduction in lossy-recovery mode.
+LOSSY_MIN_EVENT_RATIO = 2.0
 
 #: Peak-RSS ceiling for the 100k-client arm.
 XL_RSS_BUDGET_BYTES = 8 << 30
@@ -61,19 +72,22 @@ def peak_rss_bytes() -> int:
 
 
 def _timed_run(config, factory, fast: bool):
-    prior = os.environ.get(FAST_DISSEM_ENV)
-    os.environ[FAST_DISSEM_ENV] = "1" if fast else "0"
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        if not fast:
+            patch.setattr(SimNetwork, "enable_fast_dissem", lambda self: False)
         built = build_scenario(config)
         t0 = time.perf_counter()
         artifacts = run_protocol_detailed(built, factory)
         seconds = time.perf_counter() - t0
-    finally:
-        if prior is None:
-            os.environ.pop(FAST_DISSEM_ENV, None)
-        else:
-            os.environ[FAST_DISSEM_ENV] = prior
     return artifacts, seconds
+
+
+def _assert_bit_identical(fast, scalar) -> None:
+    assert dataclasses.replace(
+        fast.summary, events_processed=scalar.summary.events_processed
+    ) == scalar.summary
+    assert fast.ledger.hops_by_kind == scalar.ledger.hops_by_kind
+    assert fast.ledger.drops_by_kind == scalar.ledger.drops_by_kind
 
 
 def test_reference_session_event_reduction():
@@ -90,12 +104,7 @@ def test_reference_session_event_reduction():
     factory = SourceProtocolFactory
     scalar, scalar_seconds = _timed_run(config, factory(), fast=False)
     fast, fast_seconds = _timed_run(config, factory(), fast=True)
-
-    assert dataclasses.replace(
-        fast.summary, events_processed=scalar.summary.events_processed
-    ) == scalar.summary
-    assert fast.ledger.hops_by_kind == scalar.ledger.hops_by_kind
-    assert fast.ledger.drops_by_kind == scalar.ledger.drops_by_kind
+    _assert_bit_identical(fast, scalar)
 
     event_ratio = (
         scalar.summary.events_processed / fast.summary.events_processed
@@ -131,6 +140,47 @@ def test_reference_session_event_reduction():
         f"fast path only cut events by {event_ratio:.2f}x"
         f" (< {REFERENCE_MIN_EVENT_RATIO}x)"
     )
+
+
+def test_lossy_recovery_session_events():
+    """Lossy recovery (the ScenarioConfig default): every send still
+    resolves at send time, so events per session drop in this mode too,
+    with bit-identical simulated results."""
+    config = ScenarioConfig(
+        seed=5, num_routers=600, loss_prob=0.05, num_packets=12,
+        lossless_recovery=False,
+    )
+    arm = {"num_routers": 600, "num_packets": 12, "loss_prob": 0.05}
+    lines = []
+    for factory in (
+        RPProtocolFactory, SRMProtocolFactory, RMAProtocolFactory,
+        SourceProtocolFactory,
+    ):
+        scalar, scalar_seconds = _timed_run(config, factory(), fast=False)
+        fast, fast_seconds = _timed_run(config, factory(), fast=True)
+        _assert_bit_identical(fast, scalar)
+        ratio = scalar.summary.events_processed / fast.summary.events_processed
+        arm["num_clients"] = fast.summary.num_clients
+        arm[factory.name] = {
+            "events_per_hop": scalar.summary.events_processed,
+            "events_array": fast.summary.events_processed,
+            "event_ratio": ratio,
+            "per_hop_seconds": scalar_seconds,
+            "array_seconds": fast_seconds,
+            "bit_identical": True,
+        }
+        lines.append(
+            f"{factory.name:6s} events {scalar.summary.events_processed:>7d}"
+            f" -> {fast.summary.events_processed:>6d} ({ratio:.1f}x)   wall"
+            f" {scalar_seconds:.2f}s -> {fast_seconds:.2f}s"
+        )
+    arm["min_event_ratio_rp"] = LOSSY_MIN_EVENT_RATIO
+    update_scaling_json("lossy_recovery_274", arm)
+    record(
+        "== Session scaling: lossy recovery (hop by hop -> array) ==\n"
+        + "\n".join(lines)
+    )
+    assert arm["RP"]["event_ratio"] >= LOSSY_MIN_EVENT_RATIO
 
 
 @pytest.mark.skipif(

@@ -22,7 +22,7 @@ from repro.protocols.base import CompletionTracker, StreamConfig, StreamDriver
 from repro.protocols.rp import RPProtocolFactory
 from repro.sim.engine import EventQueue
 from repro.sim.network import SimNetwork
-from repro.sim.rng import RngStreams
+from repro.sim.rng import LossLane, RngStreams
 from repro.sim.trace import TraceFilter, TraceRecorder
 from repro.sim.packet import PacketKind
 
@@ -36,30 +36,32 @@ def build_session():
     for a, b in ((s, r0), (r0, r1), (r1, ca), (r1, cb), (r0, cc)):
         topo.add_link(a, b, 2.0)
     tree = MulticastTree(topo, s, {r0: s, r1: r0, ca: r1, cb: r1, cc: r0})
-    return topo, tree, (s, ca, cb, cc)
+    return topo, tree, (s, r1, ca, cb, cc)
 
 
-class OneShotLossRng:
-    """A 'random' stream that drops exactly the n-th loss draw."""
+class OneLinkLoss(LossLane):
+    """A loss lane that drops exactly one ``(seq, from, to)`` traversal."""
 
-    def __init__(self, drop_at: int):
-        self.calls = 0
-        self.drop_at = drop_at
+    def __init__(self, seq: int, frm: int, to: int):
+        super().__init__(0)
+        self.victim = (seq, frm, to)
 
-    def random(self):
-        self.calls += 1
-        return 0.0 if self.calls == self.drop_at else 1.0
+    def journey(self, packet, sender, attempt):
+        return packet.seq
+
+    def uniform(self, journey, frm, to):
+        return 0.0 if (journey, frm, to) == self.victim else 1.0
 
 
 def main() -> None:
-    topo, tree, (s, ca, cb, cc) = build_session()
+    topo, tree, (s, r1, ca, cb, cc) = build_session()
     print("the session tree:")
     print(render_tree(tree))
 
     routing = RoutingTable(topo)
-    # Give links tiny nominal loss so the loss stream is consulted, and
-    # rig the stream to drop exactly one traversal: the 8th DATA draw
-    # (packet seq 1 on the r1->cA link, as the trace will show).
+    # Give links tiny nominal loss so the loss lane is consulted, and
+    # rig the DATA lane to drop exactly one traversal: packet seq 1 on
+    # the r1->cA link.
     topo.set_loss_prob(1e-9)
     events = EventQueue()
     log = RecoveryLog()
@@ -68,7 +70,7 @@ def main() -> None:
         events, topo, routing, tree,
         loss_rng=np.random.default_rng(0),
         ledger=ledger,
-        data_loss_rng=OneShotLossRng(drop_at=8),
+        data_loss_rng=OneLinkLoss(seq=1, frm=r1, to=ca),
     )
     recorder = TraceRecorder(
         TraceFilter(seqs=frozenset({1}))  # follow sequence 1 only

@@ -241,16 +241,16 @@ def run_protocol_detailed(
     )
     timeseries = instr.timeseries if instr is not None else None
     if timeseries is None:
-        # Arm the array dissemination fast path (no-op under jitter,
-        # congestion, faults, profiling or REPRO_FAST_DISSEM=0; per-call
-        # conditions fall back to the scalar path bit-identically).
-        network.enable_fast_dissem(config.stream_config())
+        # Arm array dissemination: every send resolves its journey at
+        # send time with keyed loss draws (refused under jitter,
+        # congestion, faults, churn or profiling, which need the
+        # hop-by-hop walkers; link observers are checked per send).
+        network.enable_fast_dissem()
     else:
-        # The fast path batches its ledger charges at send time, which
-        # would smear the collector's per-window bandwidth series;
-        # disarm it explicitly (the profiler's contract) rather than
-        # let the windows silently skew.  The scalar path is
-        # bit-identical modulo events_processed.
+        # Array dissemination charges the ledger at send time, which
+        # would smear the collector's per-window bandwidth series; the
+        # hop-by-hop walkers charge each hop when it happens and give
+        # the same results modulo events_processed.
         timeseries.arm(events, ledger)
     driver.start()
 
@@ -268,8 +268,8 @@ def run_protocol_detailed(
         instr.phase(events.now, "session.drained")
     if tracer is not None:
         tracer.finish(events.now)
-    # Refund fast-path hop/drop charges whose scalar transmit event
-    # would have fallen after the drain cutoff.
+    # Refund send-time hop/drop charges whose transmit instant fell
+    # after the drain cutoff.
     network.finalize_fast_dissem(events.now)
     if director is not None:
         # Membership events past the drain cutoff never fired; cancel

@@ -20,32 +20,42 @@ packet still consumed the link.  Link delay and loss are independent of
 traffic volume; the paper points out this favors the chattier protocols
 (SRM, then RMA), and we preserve that bias for fidelity.
 
+Loss draws are keyed, not sequential: every send gets a loss key from a
+:class:`~repro.sim.rng.LossLane` (the packet's identity, the sender and
+the sender's attempt number for that identity — never its trace
+context), and a traversal is lost iff the lane's uniform for (key,
+directed link) is below the link's loss probability.  DATA draws from
+the ``data`` lane shared by every protocol on a seed, so protocols
+compared on one seed face the *identical* original-loss pattern;
+everything else draws from the protocol's own lane.
+
 Agents (protocol endpoints) register per node; intermediate routers
 forward without an agent.  Deliveries never happen synchronously inside
 the sender's call — everything is mediated by the event queue, so
 protocol code observes a consistent clock.
 
-**Array dissemination fast path.**  When the experiment runner calls
-:meth:`SimNetwork.enable_fast_dissem` and the run has load-independent
-links (no jitter, no congestion, no faults, no link observers, no
-enabled profiler), eligible disseminations are computed in numpy via
-:mod:`repro.sim.dissem` and only the O(agents) deliveries are scheduled
-as events, instead of one event per link traversal.  The fast path is
-bit-identical to the scalar path — same RNG consumption, same arrival
-times, same ledger totals (an in-flight registry refunds hops/drops the
-scalar path would not have charged before the drain cutoff) — and every
-ineligible call falls back to the scalar path below.  Kill switch:
-``REPRO_FAST_DISSEM=0``.
+**Two ways to move a packet, one realization.**  Once the experiment
+runner calls :meth:`SimNetwork.enable_fast_dissem`, every send resolves
+its whole journey at send time — arrival times, keyed loss draws, the
+members reached, the hops and drops charged — in numpy via
+:mod:`repro.sim.dissem`, and only the agent deliveries are scheduled as
+events.  The hop-by-hop walkers below (one event per link traversal)
+remain for what needs per-traversal state: delay jitter, congestion,
+faults (Gilbert–Elliott burst loss included), membership churn, an
+enabled profiler, an armed time-series collector, attached link
+observers, and directly constructed networks.  Because a draw is a
+function of the traversal, not of when it is resolved, both give the
+same arrival times, deliveries and ledger totals (an in-flight registry
+refunds hops/drops charged at send time whose transmit instant falls
+after the drain cutoff); only ``events_processed`` differs.
 
-The scalar path itself is closure-free: reusable transit objects step
-cached int-array paths (an LRU of routed paths — client↔peer pairs
-repeat heavily) and cached per-node ``(child, link)`` arrays, replacing
-the per-hop lambda chains.
+The walkers are closure-free: reusable transit objects step cached
+int-array paths (an LRU of routed paths — client↔peer pairs repeat
+heavily) and cached per-node ``(child, link)`` arrays.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from functools import partial
@@ -59,17 +69,14 @@ from repro.net.topology import Link, Topology
 from repro.sim import dissem as dissem_mod
 from repro.sim.engine import EventQueue
 from repro.sim.packet import Packet, PacketKind
+from repro.sim.rng import LossLane
 from repro.sim.trace import TraceEvent, TraceKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle breaker
     from repro.metrics.collectors import BandwidthLedger
     from repro.obs.profiler import Profiler
-    from repro.protocols.base import StreamConfig
     from repro.sim.faults import FaultInjector
     from repro.sim.membership import MembershipDirector
-
-#: Environment kill switch for the array dissemination fast path.
-FAST_DISSEM_ENV = "REPRO_FAST_DISSEM"
 
 #: Routed-path LRU capacity (entries).  Recovery traffic concentrates
 #: on client↔peer and client↔source pairs, which repeat heavily.
@@ -89,7 +96,7 @@ class Agent(Protocol):
 class _RoutedPath:
     """A cached unicast route: nodes, links and per-hop delays."""
 
-    __slots__ = ("nodes", "links", "delays", "lossless")
+    __slots__ = ("nodes", "links", "delays")
 
     def __init__(self, topology: Topology, nodes: list[int]):
         self.nodes = tuple(nodes)
@@ -99,23 +106,24 @@ class _RoutedPath:
         )
         self.links = links
         self.delays = [link.delay for link in links]
-        self.lossless = all(link.loss_prob == 0.0 for link in links)
 
 
 class _UnicastTransit:
     """Closure-free hop walker for a unicast journey.
 
     One instance per send; it is its own arrival callback and steps the
-    cached path — same per-hop transmit/deliver order as the old
-    ``hop(index)`` closure chain, without allocating a lambda per hop.
+    cached path without allocating a lambda per hop.
     """
 
-    __slots__ = ("_network", "_path", "_packet", "_index")
+    __slots__ = ("_network", "_path", "_packet", "_journey", "_index")
 
-    def __init__(self, network: "SimNetwork", path: _RoutedPath, packet: Packet):
+    def __init__(
+        self, network: "SimNetwork", path: _RoutedPath, packet: Packet, journey
+    ):
         self._network = network
         self._path = path
         self._packet = packet
+        self._journey = journey
         self._index = 0
 
     def __call__(self) -> None:
@@ -126,7 +134,9 @@ class _UnicastTransit:
             network._deliver(path.nodes[i], self._packet)
             return
         self._index = i + 1
-        network._transmit(path.links[i], path.nodes[i + 1], self._packet, self)
+        network._transmit(
+            path.links[i], path.nodes[i + 1], self._packet, self._journey, self
+        )
 
 
 class _LegTransit:
@@ -134,12 +144,15 @@ class _LegTransit:
     packet along the tree path to the subtree root, then delivers there
     and cascades down."""
 
-    __slots__ = ("_network", "_path", "_packet", "_index")
+    __slots__ = ("_network", "_path", "_packet", "_journey", "_index")
 
-    def __init__(self, network: "SimNetwork", path: _RoutedPath, packet: Packet):
+    def __init__(
+        self, network: "SimNetwork", path: _RoutedPath, packet: Packet, journey
+    ):
         self._network = network
         self._path = path
         self._packet = packet
+        self._journey = journey
         self._index = 0
 
     def __call__(self) -> None:
@@ -149,79 +162,64 @@ class _LegTransit:
         if i == len(path.nodes) - 1:
             node = path.nodes[i]
             network._deliver(node, self._packet)
-            network._cascade_down(node, self._packet)
+            network._cascade_down(node, self._packet, self._journey)
             return
         self._index = i + 1
-        network._transmit(path.links[i], path.nodes[i + 1], self._packet, self)
+        network._transmit(
+            path.links[i], path.nodes[i + 1], self._packet, self._journey, self
+        )
 
 
 class _CascadeArrival:
     """Arrival of one downstream multicast copy: deliver, then copy to
     the children (replaces the per-child ``arrive`` lambdas)."""
 
-    __slots__ = ("_network", "_node", "_packet")
+    __slots__ = ("_network", "_node", "_packet", "_journey")
 
-    def __init__(self, network: "SimNetwork", node: int, packet: Packet):
+    def __init__(self, network: "SimNetwork", node: int, packet: Packet, journey):
         self._network = network
         self._node = node
         self._packet = packet
+        self._journey = journey
 
     def __call__(self) -> None:
         self._network._deliver(self._node, self._packet)
-        self._network._cascade_down(self._node, self._packet)
+        self._network._cascade_down(self._node, self._packet, self._journey)
 
 
 class _FloodArrival:
     """Arrival of one flood copy: deliver, then spread everywhere but
     back where it came from."""
 
-    __slots__ = ("_network", "_node", "_came_from", "_packet")
+    __slots__ = ("_network", "_node", "_came_from", "_packet", "_journey")
 
     def __init__(
-        self, network: "SimNetwork", node: int, came_from: int, packet: Packet
+        self, network: "SimNetwork", node: int, came_from: int, packet: Packet,
+        journey,
     ):
         self._network = network
         self._node = node
         self._came_from = came_from
         self._packet = packet
+        self._journey = journey
 
     def __call__(self) -> None:
         self._network._deliver(self._node, self._packet)
-        self._network._flood_spread(self._node, self._came_from, self._packet)
+        self._network._flood_spread(
+            self._node, self._came_from, self._packet, self._journey
+        )
 
 
 class _FastDissem:
-    """Per-run state of the array dissemination fast path."""
+    """Per-run state of the array dissemination path."""
 
-    #: DATA/SESSION plan states.
-    PENDING, ON, OFF = 0, 1, 2
+    __slots__ = ("dissem", "agent_pos", "scratch", "inflight")
 
-    __slots__ = (
-        "num_packets",
-        "data_interval",
-        "session_interval",
-        "dissem",
-        "agent_pos",
-        "scratch",
-        "data_state",
-        "data_plan",
-        "session_state",
-        "inflight",
-    )
-
-    def __init__(
-        self, num_packets: int, data_interval: float, session_interval: float
-    ):
-        self.num_packets = num_packets
-        self.data_interval = data_interval
-        self.session_interval = session_interval
+    def __init__(self):
         self.dissem: dissem_mod.TreeDissem | None = None
         self.agent_pos: np.ndarray | None = None
         self.scratch: np.ndarray | None = None
-        self.data_state = self.PENDING
-        self.data_plan: dissem_mod.DataPlan | None = None
-        self.session_state = self.PENDING
-        # Hop/drop charge times of every fast transmission, by kind —
+        # Hop/drop charge times of every array-resolved send, by kind —
         # reconciled against the drain cutoff in finalize_fast_dissem.
         self.inflight: list[tuple[PacketKind, np.ndarray, np.ndarray | None]] = []
 
@@ -246,9 +244,9 @@ class SimNetwork:
         topology: Topology,
         routing: RoutingTable,
         tree: MulticastTree,
-        loss_rng: np.random.Generator,
+        loss_rng: "np.random.Generator | LossLane",
         ledger: "BandwidthLedger | None" = None,
-        data_loss_rng: np.random.Generator | None = None,
+        data_loss_rng: "np.random.Generator | LossLane | None" = None,
         lossless_recovery: bool = False,
         jitter: float = 0.0,
         jitter_rng: np.random.Generator | None = None,
@@ -267,11 +265,19 @@ class SimNetwork:
         self.topology = topology
         self.routing = routing
         self.tree = tree
-        self._loss_rng = loss_rng
-        # DATA packets may draw from their own stream so that protocols
-        # compared on one seed face the *identical* original-loss
-        # pattern (recovery traffic still uses per-protocol entropy).
-        self._data_loss_rng = data_loss_rng if data_loss_rng is not None else loss_rng
+        # Keyed loss lanes (see repro.sim.rng.LossLane), each seeded by
+        # one draw from its generator.  DATA may have its own lane so
+        # that protocols compared on one seed face the *identical*
+        # original-loss pattern (recovery traffic still uses
+        # per-protocol entropy).
+        self._loss_lane = LossLane.seeded_by(loss_rng)
+        self._data_lane = (
+            LossLane.seeded_by(data_loss_rng)
+            if data_loss_rng is not None else self._loss_lane
+        )
+        # Sends so far per (sender, packet identity): the attempt number
+        # that keeps a repeated identical send's draws independent.
+        self._attempts: dict[tuple, int] = {}
         # The paper's simulator ignores loss of requests and repairs
         # (section 3.1: "the probability that the request or the repair
         # is lost is ignored"; Figure 7's flat latency curves up to
@@ -319,11 +325,10 @@ class SimNetwork:
         # list keeps every emission site at one truthiness test, so an
         # unobserved run constructs no events at all.
         self._link_observers: list[Callable[[TraceEvent], None]] = []
-        # Array dissemination fast path; armed by enable_fast_dissem.
+        # Array dissemination; armed by enable_fast_dissem.
         self._fast: _FastDissem | None = None
         # LRUs of routed unicast paths and tree access legs (both as
-        # _RoutedPath records), shared by the scalar transits and the
-        # fast path's delay prefixes.
+        # _RoutedPath records), shared by both ways of moving a packet.
         self._path_cache: OrderedDict[tuple[int, int], _RoutedPath] = OrderedDict()
         self._leg_cache: OrderedDict[tuple[int, int], _RoutedPath] = OrderedDict()
 
@@ -442,36 +447,28 @@ class SimNetwork:
         """
         self._leg_cache.clear()
 
-    # -- array dissemination fast path -----------------------------------
+    # -- array dissemination -------------------------------------------------
 
-    def enable_fast_dissem(self, stream: "StreamConfig") -> bool:
-        """Arm the array dissemination fast path for a runner-driven
-        session.
+    def enable_fast_dissem(self) -> bool:
+        """Arm array dissemination for a runner-driven session.
 
-        Eligibility (checked here once): the kill switch is not set and
-        links are load-independent — no jitter, no congestion model, no
-        fault injector, no enabled profiler (it counts per-transmit
-        scopes).  Per-call conditions (observers, draw-freedom, exact
-        event-time ties) are checked at each send and fall back to the
-        scalar path.  Only the runner calls this; directly constructed
-        networks keep the scalar path throughout.
+        Refused (checked here once) when a traversal needs state of its
+        own: delay jitter, a congestion model, a fault injector, a
+        membership director, or an enabled profiler (it counts
+        per-transmit scopes).  Attached link observers are checked at
+        each send.  Only the runner calls this; directly constructed
+        networks walk hop by hop throughout.
         """
         self._fast = None
-        if os.environ.get(FAST_DISSEM_ENV, "1") == "0":
-            return False
         if self._jitter > 0.0 or self._congestion is not None:
             return False
-        if self._faults is not None:
-            return False
-        if self._membership is not None:
-            # Churn mutates the tree mid-run; the fast path's TreeDissem
-            # arrays snapshot it once.  Scalar path throughout.
+        if self._faults is not None or self._membership is not None:
+            # Churn also mutates the tree mid-run, and TreeDissem
+            # snapshots it once.
             return False
         if self._profiler is not None and self._profiler.enabled:
             return False
-        self._fast = _FastDissem(
-            stream.num_packets, stream.data_interval, stream.session_interval
-        )
+        self._fast = _FastDissem()
         return True
 
     @property
@@ -479,13 +476,13 @@ class SimNetwork:
         return self._fast is not None
 
     def finalize_fast_dissem(self, now: float) -> None:
-        """Reconcile fast-path charges against the drain cutoff.
+        """Reconcile send-time charges against the drain cutoff.
 
-        The scalar path charges each hop/drop when its transmit event
-        fires; events strictly after the final ``run(until=now)`` cutoff
-        never fire and are never charged.  The fast path charged whole
+        A walker charges each hop/drop when its transmit event fires;
+        events strictly after the final ``run(until=now)`` cutoff never
+        fire and are never charged.  Array dissemination charged whole
         journeys at send time, recording each charge's would-be event
-        time — refund the ones the scalar path would not have made.
+        time — refund the ones the walkers would not have made.
         """
         fast = self._fast
         if fast is None:
@@ -499,6 +496,9 @@ class SimNetwork:
                 if late_drops:
                     self.ledger.refund_drops(kind, late_drops)
         fast.inflight.clear()
+
+    def _array_path(self) -> bool:
+        return self._fast is not None and not self._link_observers
 
     def _apply_fast(
         self,
@@ -518,172 +518,102 @@ class SimNetwork:
         for node, when in zip(deliver_nodes, deliver_times):
             schedule_at(when, partial(deliver, node, packet))
 
-    def _try_fast_data(self, packet: Packet) -> bool:
-        fast = self._fast
-        if fast.data_state == _FastDissem.OFF:
-            return False
-        root = self.tree.root
-        if fast.data_state == _FastDissem.PENDING:
-            # Decide — and, on success, consume the whole DATA loss lane
-            # in merged event order — strictly before the first draw.
-            dissem = fast.ensure(self.tree, self._agents)
-            if packet != Packet(PacketKind.DATA, 0, origin=root) or (
-                dissem.num_lossy and self._data_loss_rng is self._loss_rng
+    def _walk(
+        self, path: _RoutedPath, packet: Packet, journey
+    ) -> tuple[np.ndarray, float | None]:
+        """Resolve a routed path from now: the transmit time of every
+        hop attempted, and the arrival time at the end (``None`` when a
+        hop drops — its transmit time is the last one listed)."""
+        t = self.events.now
+        times = []
+        lane = self._lane(packet)
+        nodes = path.nodes
+        for i, link in enumerate(path.links):
+            times.append(t)
+            p = link.loss_prob
+            if (
+                journey is not None and p > 0.0
+                and lane.uniform(journey, nodes[i], nodes[i + 1]) < p
             ):
-                # Not the stream driver's pattern, or DATA shares the
-                # loss lane with recovery traffic (whole-lane precompute
-                # would steal recovery draws).
-                fast.data_state = _FastDissem.OFF
-                return False
-            plan = dissem_mod.build_data_plan(
-                dissem,
-                self.events.now,
-                fast.num_packets,
-                fast.data_interval,
-                self._data_loss_rng,
-                fast.agent_pos[fast.agent_pos > 0],
-            )
-            if plan is None:  # exact event-time tie; nothing consumed
-                fast.data_state = _FastDissem.OFF
-                return False
-            fast.data_plan = plan
-            fast.data_state = _FastDissem.ON
-        plan = fast.data_plan
-        k = plan.next_seq
-        if (
-            k >= fast.num_packets
-            or packet != Packet(PacketKind.DATA, k, origin=root)
-            or self.events.now != plan.t0s[k]
-        ):
-            # The plan consumed the DATA lane for the stream driver's
-            # exact send pattern; a divergent caller cannot be replayed.
-            raise RuntimeError(
-                "fast DATA dissemination diverged from the stream driver "
-                f"(send {k}, t={self.events.now}, packet={packet})"
-            )
-        plan.next_seq = k + 1
-        outcome = plan.cascades[k]
-        self._apply_fast(
-            packet,
-            outcome.deliver_nodes.tolist(),
-            outcome.deliver_times.tolist(),
-            outcome.hop_times,
-            outcome.drop_times,
-        )
-        return True
+                return np.asarray(times, dtype=np.float64), None
+            t = t + path.delays[i]
+        return np.asarray(times, dtype=np.float64), t
 
-    def _try_fast_session(self, packet: Packet) -> bool:
-        fast = self._fast
-        if fast.session_state == _FastDissem.OFF:
-            return False
-        root = self.tree.root
-        expected = Packet(
-            PacketKind.SESSION, 0, origin=root,
-            highest_seq=fast.num_packets - 1,
-        )
-        dissem = fast.ensure(self.tree, self._agents)
-        if packet != expected or (
-            dissem.num_lossy and not self._lossless_recovery
-        ):
-            # With a lossy tree and recovery traffic sharing the loss
-            # lane, per-send precompute would reorder draws.
-            fast.session_state = _FastDissem.OFF
-            return False
-        outcome = dissem_mod.build_session_cascade(
-            dissem,
-            self.events.now,
-            fast.session_interval,
-            self._loss_rng,
-            fast.agent_pos[fast.agent_pos > 0],
-            draws=True,
-        )
-        if outcome is None:
-            # Overlapping cascades or an exact tie: nothing was
-            # consumed, but the fallback must be permanent — a later
-            # fast cascade would draw ahead of this scalar one's tail.
-            fast.session_state = _FastDissem.OFF
-            return False
-        fast.session_state = _FastDissem.ON
-        self._apply_fast(
-            packet,
-            outcome.deliver_nodes.tolist(),
-            outcome.deliver_times.tolist(),
-            outcome.hop_times,
-            outcome.drop_times,
-        )
-        return True
-
-    def _try_fast_subtree(
-        self, src: int, subtree_root: int, packet: Packet
-    ) -> bool:
-        """Draw-free repair-style multicast: access leg + subtree copy
-        resolved in one pass.  Scalar fallback whenever any traversed
-        link would draw."""
-        fast = self._fast
-        dissem = fast.ensure(self.tree, self._agents)
-        exempt = self._lossless_recovery and packet.is_recovery_traffic
-        p0 = int(dissem.pos_of_node[subtree_root])
-        if not exempt and not dissem.subtree_is_lossless(p0):
-            return False
-        now = self.events.now
-        leg_times: list[float] = []
-        if src != subtree_root:
-            leg = self._tree_leg(src, subtree_root)
-            if not exempt and not leg.lossless:
-                return False
-            t = now
-            for d in leg.delays:
-                leg_times.append(t)
-                t = t + d
-            t_root = t
+    def _fast_unicast(
+        self, path: _RoutedPath, dst: int, packet: Packet, journey
+    ) -> None:
+        hop_times, arrival = self._walk(path, packet, journey)
+        if arrival is None:
+            self._apply_fast(packet, (), (), hop_times, hop_times[-1:])
         else:
-            t_root = now
-        scratch = fast.scratch
-        dissem_mod.subtree_arrivals(dissem, p0, t_root, scratch)
-        size = int(dissem.size_pos[p0])
-        inner = np.arange(p0 + 1, p0 + size, dtype=np.int64)
-        hop_times = scratch[dissem.parent_pos[inner]]
-        if leg_times:
-            hop_times = np.concatenate(
-                (np.asarray(leg_times, dtype=np.float64), hop_times)
-            )
-        agent_pos = fast.agent_pos
-        lo = int(np.searchsorted(agent_pos, p0 + 1))
-        hi = int(np.searchsorted(agent_pos, p0 + size))
-        reached = agent_pos[lo:hi]
-        nodes = dissem.order[reached].tolist()
-        times = scratch[reached].tolist()
-        if src != subtree_root and subtree_root in self._agents:
-            # The subtree root is delivered at the end of the access
-            # leg (before its descendants — scalar order).
-            nodes.insert(0, subtree_root)
-            times.insert(0, t_root)
-        self._apply_fast(packet, nodes, times, hop_times, None)
-        return True
+            self._apply_fast(packet, (dst,), (arrival,), hop_times, None)
 
-    def _try_fast_flood(self, src: int, packet: Packet) -> bool:
-        """Draw-free tree flood resolved in one pass."""
+    def _fast_subtree(
+        self, src: int, subtree_root: int, packet: Packet, journey
+    ) -> None:
+        """Access leg + subtree copy resolved in one pass."""
         fast = self._fast
         dissem = fast.ensure(self.tree, self._agents)
-        exempt = self._lossless_recovery and packet.is_recovery_traffic
-        if not exempt and dissem.num_lossy:
-            return False
-        src_pos = int(dissem.pos_of_node[src])
-        arrivals, pred = dissem_mod.flood_arrivals(
-            dissem, src_pos, self.events.now
+        nodes: list[int] = []
+        times: list[float] = []
+        leg_times = None
+        t_root = self.events.now
+        if src != subtree_root:
+            leg_times, t_root = self._walk(
+                self._tree_leg(src, subtree_root), packet, journey
+            )
+            if t_root is None:
+                self._apply_fast(packet, (), (), leg_times, leg_times[-1:])
+                return
+            if subtree_root in self._agents:
+                # Delivered at the end of the access leg, before its
+                # descendants.
+                nodes.append(subtree_root)
+                times.append(t_root)
+        outcome = dissem_mod.resolve_subtree(
+            dissem, int(dissem.pos_of_node[subtree_root]), t_root,
+            fast.agent_pos, fast.scratch, self._lane(packet), journey,
         )
-        edges = np.flatnonzero(pred >= 0)
-        hop_times = arrivals[pred[edges]]
-        agent_pos = fast.agent_pos
-        reached = agent_pos[agent_pos != src_pos]
+        hop_times = outcome.hop_times
+        if leg_times is not None:
+            hop_times = np.concatenate((leg_times, hop_times))
+        nodes += dissem.order[outcome.reached].tolist()
+        times += outcome.times.tolist()
+        self._apply_fast(packet, nodes, times, hop_times, outcome.drop_times)
+
+    def _fast_flood(self, src: int, packet: Packet, journey) -> None:
+        fast = self._fast
+        dissem = fast.ensure(self.tree, self._agents)
+        outcome = dissem_mod.resolve_flood(
+            dissem, int(dissem.pos_of_node[src]), self.events.now,
+            fast.agent_pos, self._lane(packet), journey,
+        )
         self._apply_fast(
             packet,
-            dissem.order[reached].tolist(),
-            arrivals[reached].tolist(),
-            hop_times,
-            None,
+            dissem.order[outcome.reached].tolist(),
+            outcome.times.tolist(),
+            outcome.hop_times,
+            outcome.drop_times,
         )
-        return True
+
+    # -- loss keys -----------------------------------------------------------
+
+    def _lane(self, packet: Packet) -> LossLane:
+        return self._data_lane if packet.kind is PacketKind.DATA else self._loss_lane
+
+    def _journey(self, src: int, packet: Packet):
+        """The loss key of a send from ``src``, or ``None`` when the
+        send is exempt from loss (recovery traffic under
+        ``lossless_recovery``).  Every send counts as an attempt."""
+        key = (
+            src, packet.kind, packet.seq, packet.origin, packet.highest_seq,
+            packet.req_id, packet.chain_index,
+        )
+        attempt = self._attempts.get(key, 0)
+        self._attempts[key] = attempt + 1
+        if self._lossless_recovery and packet.is_recovery_traffic:
+            return None
+        return self._lane(packet).journey(packet, src, attempt)
 
     # -- link-level primitive ------------------------------------------------
 
@@ -692,11 +622,13 @@ class SimNetwork:
         link: Link,
         to_node: int,
         packet: Packet,
+        journey,
         on_arrival: Callable[[], None],
     ) -> bool:
         """Put ``packet`` on ``link`` toward ``to_node``.
 
-        Charges the hop, draws the loss, and schedules ``on_arrival``
+        Charges the hop, draws the loss (keyed by ``journey``, the
+        send's loss key; ``None`` = exempt), and schedules ``on_arrival``
         after the link delay when the packet survives.  Returns whether
         the packet survived the loss draw — the authoritative
         survive/drop outcome tracing and telemetry consume (inferring
@@ -705,10 +637,10 @@ class SimNetwork:
         """
         profiler = self._profiler
         if profiler is None or not profiler.enabled:
-            return self._transmit_now(link, to_node, packet, on_arrival)
+            return self._transmit_now(link, to_node, packet, journey, on_arrival)
         t0 = time.perf_counter()
         try:
-            return self._transmit_now(link, to_node, packet, on_arrival)
+            return self._transmit_now(link, to_node, packet, journey, on_arrival)
         finally:
             profiler.add("net.transmit", time.perf_counter() - t0)
 
@@ -717,30 +649,26 @@ class SimNetwork:
         link: Link,
         to_node: int,
         packet: Packet,
+        journey,
         on_arrival: Callable[[], None],
     ) -> bool:
         self.ledger.charge_hop(packet.kind)
         faults = self._faults
-        dropped = False
         if faults is not None and faults.link_down(link, self.events.now):
             # A down link drops everything — data, session and recovery
             # alike, regardless of the lossless_recovery exemption.
             dropped = True
+        elif journey is None:
+            dropped = False
+        elif faults is not None and faults.burst_loss:
+            # Gilbert–Elliott replaces the Bernoulli draw entirely; its
+            # draws come from the fault lane, never the loss lanes.
+            dropped = faults.burst_loss_draw(link, self.events.now)
         else:
-            exempt = self._lossless_recovery and packet.is_recovery_traffic
-            if faults is not None and faults.burst_loss and not exempt:
-                # Gilbert–Elliott replaces the Bernoulli draw entirely;
-                # its draws come from the fault lane, never the loss
-                # streams.
-                dropped = faults.burst_loss_draw(link, self.events.now)
-            else:
-                lossy = link.loss_prob > 0.0 and not exempt
-                rng = (
-                    self._data_loss_rng
-                    if packet.kind is PacketKind.DATA
-                    else self._loss_rng
-                )
-                dropped = lossy and rng.random() < link.loss_prob
+            p = link.loss_prob
+            dropped = p > 0.0 and self._lane(packet).uniform(
+                journey, link.other(to_node), to_node
+            ) < p
         if dropped:
             self.ledger.charge_drop(packet.kind)
             if self._link_observers:
@@ -800,28 +728,15 @@ class SimNetwork:
             self.events.schedule(0.0, partial(self._deliver, dst, packet))
             return
         path = self._routed_path(src, dst)
-        if (
-            self._fast is not None
-            and not self._link_observers
-            and (
-                path.lossless
-                or (self._lossless_recovery and packet.is_recovery_traffic)
-            )
-        ):
-            # Draw-free journey: one arrival event instead of one per
-            # hop; per-hop transmit times recorded for drain refunds.
-            t = self.events.now
-            hop_times = np.empty(len(path.delays), dtype=np.float64)
-            for i, d in enumerate(path.delays):
-                hop_times[i] = t
-                t = t + d
-            self._apply_fast(packet, (dst,), (t,), hop_times, None)
+        journey = self._journey(src, packet)
+        if self._array_path():
+            self._fast_unicast(path, dst, packet, journey)
             return
-        _UnicastTransit(self, path, packet)()
+        _UnicastTransit(self, path, packet, journey)()
 
     # -- tree multicast -----------------------------------------------------------
 
-    def _cascade_down(self, node: int, packet: Packet) -> None:
+    def _cascade_down(self, node: int, packet: Packet, journey) -> None:
         """Copy ``packet`` to every child of ``node``, continuing down
         recursively via :class:`_CascadeArrival` events."""
         if self._membership is not None and not self.tree.contains(node):
@@ -830,7 +745,8 @@ class SimNetwork:
             return
         for child, link in self.tree.children_with_links(node):
             self._transmit(
-                link, child, packet, _CascadeArrival(self, child, packet)
+                link, child, packet, journey,
+                _CascadeArrival(self, child, packet, journey),
             )
 
     def multicast_subtree(
@@ -857,22 +773,18 @@ class SimNetwork:
             src, packet, self.events.now
         ):
             return
-        if self._fast is not None and not self._link_observers:
-            from_root = src == subtree_root == self.tree.root
-            if packet.kind is PacketKind.DATA and from_root:
-                if self._try_fast_data(packet):
-                    return
-            elif packet.kind is PacketKind.SESSION and from_root:
-                if self._try_fast_session(packet):
-                    return
-            elif self._try_fast_subtree(src, subtree_root, packet):
-                return
-        if src == subtree_root:
-            self._cascade_down(src, packet)
+        journey = self._journey(src, packet)
+        if self._array_path():
+            self._fast_subtree(src, subtree_root, packet, journey)
             return
-        _LegTransit(self, self._tree_leg(src, subtree_root), packet)()
+        if src == subtree_root:
+            self._cascade_down(src, packet, journey)
+            return
+        _LegTransit(self, self._tree_leg(src, subtree_root), packet, journey)()
 
-    def _flood_spread(self, node: int, came_from: int, packet: Packet) -> None:
+    def _flood_spread(
+        self, node: int, came_from: int, packet: Packet, journey
+    ) -> None:
         if self._membership is not None and not self.tree.contains(node):
             # In-flight flood copy arriving at a since-pruned leaf: it
             # has no tree links left to spread over.
@@ -881,8 +793,8 @@ class SimNetwork:
             if neighbor == came_from:
                 continue
             self._transmit(
-                link, neighbor, packet,
-                _FloodArrival(self, neighbor, node, packet),
+                link, neighbor, packet, journey,
+                _FloodArrival(self, neighbor, node, packet, journey),
             )
 
     def flood_tree(self, src: int, packet: Packet) -> None:
@@ -900,7 +812,8 @@ class SimNetwork:
             src, packet, self.events.now
         ):
             return
-        if self._fast is not None and not self._link_observers:
-            if self._try_fast_flood(src, packet):
-                return
-        self._flood_spread(src, -1, packet)
+        journey = self._journey(src, packet)
+        if self._array_path():
+            self._fast_flood(src, packet, journey)
+            return
+        self._flood_spread(src, -1, packet, journey)

@@ -33,13 +33,13 @@ layer, so the packet itself carries only protocol-level identity:
     attribute every link traversal to the attempt that caused it.  -1
     (the default, and the only value in untraced runs) means untraced.
 
-The record is frozen with value equality, and the array dissemination
-fast path (:mod:`repro.sim.dissem`) leans on that: it validates each
-stream-driver send against the expected ``Packet(...)`` literal before
-replaying a precomputed plan, so any field a future change adds here
-automatically participates in that guard.  One packet instance fans out
-to every receiver of a multicast — dissemination never copies it — which
-is what makes scheduling 100k deliveries of one packet cheap.
+The record is frozen with value equality.  Loss draws are keyed by a
+packet's identity — every field above except the trace context — plus
+its sender and that sender's attempt number (see
+:class:`~repro.sim.rng.LossLane`), so tracing a run never changes its
+losses.  One packet instance fans out to every receiver of a multicast —
+dissemination never copies it — which is what makes scheduling 100k
+deliveries of one packet cheap.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The Euler-tour sparse table, preorder intervals and batched rows in
 :class:`~repro.net.mcast_tree.MulticastTree` must be *indistinguishable*
-from the original pointer-walk implementations (kept as ``naive_*``
-reference methods) — the planner's output, and therefore every sweep
-artifact, depends on them bit for bit.
+from the original pointer-walk implementations (the reference functions
+in ``tests/net/lca_oracles.py``) — the planner's output, and therefore
+every sweep artifact, depends on them bit for bit.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.generators import TopologyConfig, random_backbone
 from repro.net.mcast_tree import MulticastTree, random_multicast_tree
+from tests.net.lca_oracles import naive_first_common_router, naive_is_ancestor
 
 
 def build(seed, routers=25):
@@ -29,7 +30,7 @@ def test_fast_lca_matches_naive(seed, data):
     members = tree.members
     u = data.draw(st.sampled_from(members))
     v = data.draw(st.sampled_from(members))
-    assert tree.first_common_router(u, v) == tree.naive_first_common_router(u, v)
+    assert tree.first_common_router(u, v) == naive_first_common_router(tree, u, v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -39,7 +40,7 @@ def test_fast_is_ancestor_matches_naive(seed, data):
     members = tree.members
     a = data.draw(st.sampled_from(members))
     n = data.draw(st.sampled_from(members))
-    assert tree.is_ancestor(a, n) == tree.naive_is_ancestor(a, n)
+    assert tree.is_ancestor(a, n) == naive_is_ancestor(tree, a, n)
 
 
 @settings(max_examples=25, deadline=None)
@@ -50,7 +51,7 @@ def test_lca_row_matches_per_pair_queries(seed, data):
     row = tree.lca_row(client)
     assert set(row) == set(tree.members)
     for node in tree.members:
-        assert row[node] == tree.naive_first_common_router(client, node)
+        assert row[node] == naive_first_common_router(tree, client, node)
 
 
 @settings(max_examples=25, deadline=None)
@@ -60,7 +61,7 @@ def test_ds_row_matches_per_pair_ds(seed, data):
     client = data.draw(st.sampled_from(tree.members))
     row = tree.ds_row(client)
     for node in tree.members:
-        assert row[node] == tree.depth(tree.naive_first_common_router(client, node))
+        assert row[node] == tree.depth(naive_first_common_router(tree, client, node))
 
 
 @settings(max_examples=30, deadline=None)

@@ -14,23 +14,25 @@ from repro.protocols.srm import SRMProtocolFactory
 from repro.sim.engine import EventQueue
 from repro.sim.network import SimNetwork
 from repro.sim.packet import PacketKind
-from repro.sim.rng import RngStreams
+from repro.sim.rng import LossLane, RngStreams
 from repro.sim.trace import TraceFilter, TraceKind, TraceRecorder
 
 
-class RiggedLossRng:
-    """Drops exactly the given 1-based draw indices."""
+class RiggedLossLane(LossLane):
+    """Drops exactly the given ``(seq, from, to)`` traversals."""
 
-    def __init__(self, drop_at: set[int]):
-        self.calls = 0
-        self.drop_at = drop_at
+    def __init__(self, drops: set[tuple[int, int, int]]):
+        super().__init__(0)
+        self.drops = drops
 
-    def random(self):
-        self.calls += 1
-        return 0.0 if self.calls in self.drop_at else 1.0
+    def journey(self, packet, sender, attempt):
+        return packet.seq
+
+    def uniform(self, journey, frm, to):
+        return 0.0 if (journey, frm, to) in self.drops else 1.0
 
 
-def build(factory, drop_draws, num_packets=3):
+def build(factory, drops, num_packets=3):
     """Line-ish topology with a shortcut so unicast != tree path."""
     topo = Topology()
     r0, r1 = topo.add_nodes(2, NodeKind.ROUTER)
@@ -48,7 +50,7 @@ def build(factory, drop_draws, num_packets=3):
         events, topo, RoutingTable(topo), tree,
         loss_rng=np.random.default_rng(1),
         ledger=BandwidthLedger(),
-        data_loss_rng=RiggedLossRng(drop_draws),
+        data_loss_rng=RiggedLossLane(drops),
     )
     recorder = TraceRecorder().attach(net)
     tracker = CompletionTracker(2, num_packets)
@@ -60,19 +62,17 @@ def build(factory, drop_draws, num_packets=3):
     return topo, tree, log, recorder, (s, ca, cb)
 
 
+#: DATA seq 1 dropped on the r1 -> cA link (node ids r1=1, cA=3).
+SEQ1_ON_R1_CA = (1, 1, 3)
+
+
 class TestRPTraces:
     def test_repair_travels_unicast_shortcut(self):
-        """cA loses seq 1 (dropped on r1->cA, draw 7); its planned peer
-        is cB, and cB's repair must take the 1-hop shortcut — proving RP
+        """cA loses seq 1 (dropped on r1->cA); its planned peer is cB,
+        and cB's repair must take the 1-hop shortcut — proving RP
         repairs are unicast on routed paths, not tree multicasts."""
-        # DATA draws per multicast: links in cascade order:
-        # S->r0 (1), r0->r1 (2), r0->cB (3), r1->cA (4) per packet.
-        # Packet seq 1 uses draws 5..8; drop draw 8?? order within
-        # cascade: children sorted -> r0 children [1, cb]; so order is
-        # S->r0, r0->r1, r0->cB, r1->cA: seq 1 -> draws 5,6,7,8; drop
-        # r1->cA = draw 8.
         topo, tree, log, recorder, (s, ca, cb) = build(
-            RPProtocolFactory(), drop_draws={8}
+            RPProtocolFactory(), drops={SEQ1_ON_R1_CA}
         )
         assert log.is_recovered(ca, 1)
         repair_path = recorder.path_of(PacketKind.REPAIR, 1)
@@ -81,7 +81,7 @@ class TestRPTraces:
         assert (ca, cb) in request_path
 
     def test_no_recovery_traffic_without_losses(self):
-        _, _, log, recorder, _ = build(RPProtocolFactory(), drop_draws=set())
+        _, _, log, recorder, _ = build(RPProtocolFactory(), drops=set())
         assert log.num_detected == 0
         for kind in (PacketKind.REQUEST, PacketKind.REPAIR, PacketKind.NACK):
             assert recorder.path_of(kind, 0) == []
@@ -93,7 +93,7 @@ class TestSRMTraces:
         """SRM's NACK must traverse tree links (not the shortcut), and
         the repair likewise floods the tree."""
         topo, tree, log, recorder, (s, ca, cb) = build(
-            SRMProtocolFactory(), drop_draws={8}
+            SRMProtocolFactory(), drops={SEQ1_ON_R1_CA}
         )
         assert log.is_recovered(ca, 1)
         nack_hops = recorder.path_of(PacketKind.NACK, 1)

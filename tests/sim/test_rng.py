@@ -56,10 +56,10 @@ class TestStableKey:
 
 
 class TestChunkedDrawIdentity:
-    """The array dissemination fast path replaces ``k`` successive
-    ``rng.random()`` calls with one ``rng.random(k)``.  Its bit-identity
-    contract stands on these two facts about numpy's Generator; if a
-    numpy upgrade ever breaks them, this is the test that must fail."""
+    """Two facts about numpy's Generator: ``rng.random(k)`` consumes the
+    same stream as ``k`` successive ``rng.random()`` calls.  Loss draws
+    no longer rely on this (they are keyed, see ``LossLane``); no other
+    simulator code does either."""
 
     def test_chunked_equals_successive_scalars(self):
         for size in (1, 2, 7, 64, 1000):

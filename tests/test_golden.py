@@ -66,19 +66,18 @@ class TestGoldenPlans:
 class TestGoldenRuns:
     @pytest.mark.parametrize(
         "factory_cls,expected_losses",
-        [(RPProtocolFactory, 75), (SRMProtocolFactory, 76),
-         (RMAProtocolFactory, 76)],
+        [(RPProtocolFactory, 75), (SRMProtocolFactory, 75),
+         (RMAProtocolFactory, 75)],
     )
     def test_losses_pinned(self, built, factory_cls, expected_losses):
-        # The shared data-loss stream makes the *physical* losses
+        # The shared data-loss lane makes the *physical* losses
         # identical; detected counts differ by at most the few losses an
-        # opportunistic repair masked before the client noticed the gap
-        # (RP's full-subgroup source repair masks one here).
+        # opportunistic repair masked before the client noticed the gap.
         summary = run_protocol(built, factory_cls())
         assert summary.losses_detected == expected_losses
         assert summary.fully_recovered
 
     def test_rp_run_pinned(self, built):
         summary = run_protocol(built, RPProtocolFactory())
-        assert summary.recovery_hops == 1436
-        assert summary.avg_latency == pytest.approx(186.8700, abs=1e-3)
+        assert summary.recovery_hops == 1471
+        assert summary.avg_latency == pytest.approx(206.1664, abs=1e-3)
