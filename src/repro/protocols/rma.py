@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.timeouts import ProportionalTimeout, TimeoutPolicy
 from repro.metrics.collectors import RecoveryLog
 from repro.obs.instrumentation import SOURCE_RANK, Instrumentation
@@ -89,21 +91,19 @@ def upstream_receiver_order(
 
     Every other client whose first common router with ``client`` lies
     strictly above it, sorted nearest-upstream-first: descending ``DS``,
-    then ascending RTT, then id.
+    then ascending RTT, then id.  Built from arrays like the planner's
+    candidate list: one LCA query, one distance row, one lexsort.
     """
     tree = network.tree
-    routing = network.routing
-    ds_u = tree.depth(client)
-    order = []
-    for peer in tree.clients:
-        if peer == client:
-            continue
-        ds = tree.ds(client, peer)
-        if ds >= ds_u:
-            continue  # in the client's own subtree: lost whatever it lost
-        order.append((peer, ds, routing.rtt(client, peer)))
-    order.sort(key=lambda item: (-item[1], item[2], item[0]))
-    return [(peer, rtt) for peer, _, rtt in order]
+    peers = np.asarray(tree.clients, dtype=np.int64)
+    ds = tree.depth_vector()[tree.lca_vector(client, peers)]
+    # Peers at or below the client (itself included) lost whatever it lost.
+    upstream = ds < tree.depth(client)
+    peers, ds = peers[upstream], ds[upstream]
+    rtt = 2.0 * np.asarray(network.routing.distances_from(client))[peers]
+    # lexsort's primary key is its LAST array: (-ds, rtt, peer).
+    order = np.lexsort((peers, rtt, -ds))
+    return list(zip(peers[order].tolist(), rtt[order].tolist()))
 
 
 class _PendingSearch:

@@ -96,6 +96,9 @@ class _SRMRepairLogic:
         self._srm_instr = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
+        # Routes never change during a run, so the delay to the source is
+        # read once rather than on every overheard repair.
+        self._d_source = network.routing.delay(node, network.tree.root)
         self._repair_timers: dict[int, Timer] = {}
         self._repair_hold_until: dict[int, float] = {}
         # Trace context of the NACK each pending repair answers, so the
@@ -154,12 +157,9 @@ class _SRMRepairLogic:
         # Seeing someone else's repair also starts our hold period:
         # without it we might respond to a retransmitted NACK that the
         # just-seen repair is already answering.
-        d_s = self._srm_network.routing.delay(
-            self._srm_node, self._srm_network.tree.root
-        )
         self._repair_hold_until[seq] = (
             self._srm_network.events.now
-            + self._srm_config.repair_hold_factor * max(d_s, 1.0)
+            + self._srm_config.repair_hold_factor * max(self._d_source, 1.0)
         )
 
 
@@ -197,7 +197,6 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
         )
         self.config = config
         self._rng = rng
-        self._d_source = network.routing.delay(node, network.tree.root)
         self._requests: dict[int, _PendingRequest] = {}
 
     # -- request side -------------------------------------------------------

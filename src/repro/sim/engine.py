@@ -14,20 +14,25 @@ reproducible network simulation and are guaranteed here:
   timers than it lets expire (every suppressed SRM request, every
   repaired RP timeout), so cancellation must be cheap.
 
+Heap entries are ``(time, seq, timer)`` tuples: sequence numbers are
+unique, so ``heapq`` orders entries in C and never compares timers.
+
 Lazy cancellation alone lets the heap fill with corpses under heavy
 cancel/rearm workloads (SRM's suppression timers are the worst case:
 almost every scheduled request is cancelled and rescheduled).  The
 queue therefore counts its cancelled-but-unpopped timers and, when the
 dead fraction crosses :data:`COMPACT_MIN_DEAD` /
 :data:`COMPACT_DEAD_FRACTION`, rebuilds the heap without them in one
-O(live) filter + heapify.  Compaction cannot change replay order:
-``Timer.__lt__`` totally orders live timers by ``(time, seq)``, and
-heapify preserves exactly that pop order.
+O(live) filter + heapify.  Compaction cannot change replay order: the
+``(time, seq)`` keys totally order live entries, and heapify preserves
+exactly that pop order.  It rebuilds the list in place: compaction
+fires from a callback's ``cancel()``, while the dispatch loop holds it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -46,11 +51,10 @@ COMPACT_DEAD_FRACTION = 0.5
 class Timer:
     """Handle for a scheduled event; supports cancellation."""
 
-    __slots__ = ("time", "callback", "cancelled", "seq", "_queue")
+    __slots__ = ("time", "callback", "cancelled", "_queue")
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], Any]):
+    def __init__(self, time: float, callback: Callable[[], Any]):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
         # Owning queue while the timer sits in its heap; cleared on pop
@@ -72,16 +76,13 @@ class Timer:
     def active(self) -> bool:
         return not self.cancelled
 
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class EventQueue:
     """The simulator clock and future-event list."""
 
     def __init__(self, profiler: "Profiler | None" = None):
         self._now = 0.0
-        self._heap: list[Timer] = []
+        self._heap: list[tuple[float, int, Timer]] = []
         self._seq = 0
         self._processed = 0
         # Cancelled timers still sitting in the heap; drives compaction
@@ -130,10 +131,10 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule at {time}, current time is {self._now}"
             )
-        timer = Timer(time, self._seq, callback)
+        timer = Timer(time, callback)
         timer._queue = self
+        heapq.heappush(self._heap, (time, self._seq, timer))
         self._seq += 1
-        heapq.heappush(self._heap, timer)
         return timer
 
     def _note_cancelled(self) -> None:
@@ -159,24 +160,16 @@ class EventQueue:
         self._compact_inner()
 
     def _compact_inner(self) -> None:
-        self._heap = [t for t in self._heap if not t.cancelled]
+        self._heap[:] = [e for e in self._heap if not e[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
         self._compactions += 1
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
-        while self._heap:
-            timer = heapq.heappop(self._heap)
-            if timer.cancelled:
-                self._cancelled -= 1
-                continue
-            timer._queue = None
-            self._now = timer.time
-            self._processed += 1
-            timer.callback()
-            return True
-        return False
+        before = self._processed
+        self._run(None, None, lambda: True)
+        return self._processed != before
 
     def run(
         self,
@@ -219,23 +212,30 @@ class EventQueue:
         max_events: int | None,
         stop_when: Callable[[], bool] | None,
     ) -> None:
+        heap = self._heap
+        limit = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         executed = 0
-        while self._heap:
-            # Peek past cancelled entries.
-            while self._heap and self._heap[0].cancelled:
-                heapq.heappop(self._heap)
+        while heap:
+            entry = heapq.heappop(heap)
+            when, _, timer = entry
+            if timer.cancelled:
                 self._cancelled -= 1
-            if not self._heap:
-                break
-            if until is not None and self._heap[0].time > until:
-                self._now = until
+                continue
+            # An entry this run may not dispatch goes back untouched.
+            if when > limit:
+                heapq.heappush(heap, entry)
+                self._now = limit
                 return
-            if max_events is not None and executed >= max_events:
+            if executed >= budget:
+                heapq.heappush(heap, entry)
                 raise RuntimeError(
                     f"event budget exceeded ({max_events} events) at t={self._now}"
                 )
-            if not self.step():
-                break
+            timer._queue = None
+            self._now = when
+            self._processed += 1
+            timer.callback()
             executed += 1
             if stop_when is not None and stop_when():
                 return

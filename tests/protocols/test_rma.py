@@ -1,9 +1,16 @@
 """Tests for the RMA baseline: upstream ordering, one-by-one escalation,
 subsumption, subtree repairs, the source deadline."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.core.timeouts import FixedTimeout
+from repro.net.generators import TopologyConfig, random_backbone
+from repro.net.mcast_tree import MulticastTree, random_multicast_tree
+from repro.net.routing import RoutingTable
+from repro.net.topology import NodeKind, Topology
 from repro.protocols.rma import (
     RMAClientAgent,
     RMAConfig,
@@ -13,6 +20,7 @@ from repro.protocols.rma import (
 )
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.rng import RngStreams
+from tests.protocols.rma_oracles import naive_upstream_receiver_order
 
 
 def data(seq):
@@ -55,6 +63,49 @@ class TestUpstreamOrder:
             upstream_receiver_order(world.network, world.CA)
             == agents[world.CA].search_order
         )
+
+
+class TestUpstreamOrderOracle:
+    """The array-built search order equals the per-pair reference loop
+    for every client: peers, RTT floats and order."""
+
+    @pytest.mark.parametrize("routers,seed", [(60, 1), (120, 2), (200, 3)])
+    def test_matches_reference_on_random_scenarios(self, routers, seed):
+        topo = random_backbone(
+            TopologyConfig(num_routers=routers), np.random.default_rng(seed)
+        )
+        tree = random_multicast_tree(topo, np.random.default_rng(seed + 100))
+        network = SimpleNamespace(tree=tree, routing=RoutingTable(topo))
+        assert len(tree.clients) > 10
+        for client in tree.clients:
+            assert upstream_receiver_order(network, client) == (
+                naive_upstream_receiver_order(network, client)
+            )
+
+    def test_ties_break_on_rtt_then_id(self):
+        # S - r0 - r1 - cA, with cD beside cA under r1 (DS 2) and cB, cC,
+        # cF hanging off r0 (DS 1).  cB and cC tie on DS and RTT, so
+        # their ids decide; cF has the lowest id but a longer link, so
+        # RTT puts it last.
+        topo = Topology()
+        r0, r1 = topo.add_nodes(2, NodeKind.ROUTER)
+        s = topo.add_node(NodeKind.SOURCE)
+        cf, cc, ca, cb, cd = topo.add_nodes(5, NodeKind.CLIENT)
+        for u, v, delay in (
+            (s, r0, 1.0), (r0, r1, 1.0), (r1, ca, 1.0), (r1, cd, 1.0),
+            (r0, cc, 1.0), (r0, cb, 1.0), (r0, cf, 2.0),
+        ):
+            topo.add_link(u, v, delay)
+        tree = MulticastTree(
+            topo, s, {r0: s, r1: r0, ca: r1, cd: r1, cc: r0, cb: r0, cf: r0}
+        )
+        network = SimpleNamespace(tree=tree, routing=RoutingTable(topo))
+        order = upstream_receiver_order(network, ca)
+        assert order == [(cd, 4.0), (cc, 6.0), (cb, 6.0), (cf, 8.0)]
+        for client in tree.clients:
+            assert upstream_receiver_order(network, client) == (
+                naive_upstream_receiver_order(network, client)
+            )
 
 
 class TestSearch:

@@ -233,6 +233,44 @@ class TestCompaction:
         q2.run()
         assert fired_churn == fired_plain
 
+    def test_compaction_inside_run(self):
+        # A callback cancels enough pending timers to compact the heap
+        # while run() is dispatching, then schedules one more event; the
+        # loop must keep draining the rebuilt heap in (time, seq) order.
+        q = EventQueue()
+        fired = []
+        live = []
+        doomed = []
+        for i in range(210):
+            when = 2.0 + i % 5
+            if i % 3:
+                doomed.append(q.schedule(when, lambda: fired.append("dead")))
+            else:
+                live.append((when, i))
+                q.schedule(when, lambda i=i: fired.append(i))
+
+        def cull():
+            for t in doomed:
+                t.cancel()
+            assert q.compactions == 1
+            q.schedule_at(3.5, lambda: fired.append("late"))
+            assert q.pending == len(live) + 1
+            assert q.pending + q.cancelled_pending == len(q._heap)
+
+        q.schedule(1.0, cull)
+        assert len(doomed) >= COMPACT_MIN_DEAD
+        q.run()
+
+        # Live timers were scheduled in index order, so seq follows i.
+        expected = [i for _, i in sorted(live)]
+        expected.insert(sum(when < 3.5 for when, _ in live), "late")
+        assert fired == expected
+        assert q.compactions == 1
+        assert q.processed == len(live) + 2
+        assert q.pending == 0
+        assert q.cancelled_pending == 0
+        assert len(q._heap) == 0
+
     def test_cancel_after_fire_does_not_skew_count(self):
         q = EventQueue()
         t = q.schedule(1.0, lambda: None)

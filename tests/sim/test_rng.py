@@ -54,24 +54,3 @@ class TestStableKey:
     def test_fits_in_64_bits(self):
         assert 0 <= _stable_key("anything at all") < 2**64
 
-
-class TestChunkedDrawIdentity:
-    """Two facts about numpy's Generator: ``rng.random(k)`` consumes the
-    same stream as ``k`` successive ``rng.random()`` calls.  Loss draws
-    no longer rely on this (they are keyed, see ``LossLane``); no other
-    simulator code does either."""
-
-    def test_chunked_equals_successive_scalars(self):
-        for size in (1, 2, 7, 64, 1000):
-            chunked = RngStreams(123).get("loss").random(size)
-            scalar_rng = RngStreams(123).get("loss")
-            scalars = [scalar_rng.random() for _ in range(size)]
-            assert list(chunked) == scalars
-
-    def test_stream_position_after_chunk_matches(self):
-        a = RngStreams(9).get("loss")
-        b = RngStreams(9).get("loss")
-        a.random(17)
-        for _ in range(17):
-            b.random()
-        assert a.random() == b.random()
