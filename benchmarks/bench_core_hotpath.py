@@ -12,8 +12,8 @@ implementations and writes ``BENCH_core_hotpath.json`` at the repo root:
   scope.
 * **Plan-cache hit rate** — an RP loss-probability sweep over one
   topology: planning depends on everything *but* ``p``, so 10 points
-  cost 1 miss + 9 hits (≥ 90%).  Cached and uncached sweeps must save
-  byte-identical JSON (asserted — the CI smoke repeats this cross-process).
+  cost 1 miss + 9 hits (≥ 90%).  A cached sweep and one whose planning
+  calls ``plan_all`` directly must save byte-identical JSON (asserted).
 * **End-to-end run time** — one RP run cold (cache miss) vs warm (hit),
   plus the ``plan.cache`` / ``engine.compact`` profiler scope totals.
 
@@ -114,7 +114,7 @@ class BaselinePlanner(RPPlanner):
         return _baseline_candidate_clients(self._tree, self._routing, client)
 
 
-def test_core_hotpath(tmp_path):
+def test_core_hotpath(tmp_path, monkeypatch):
     routers = _routers()
     profiler = Profiler(enabled=True)
 
@@ -172,7 +172,6 @@ def test_core_hotpath(tmp_path):
 
     # -- plan-cache hit rate across a loss sweep ------------------------
     plan_cache.clear()
-    plan_cache.GLOBAL_PLAN_CACHE.enabled = True
     sweep_routers = 60
     instr = Instrumentation(profiler=profiler)  # plan.cache scope lands here
     for p in LOSS_PROBS:
@@ -193,9 +192,13 @@ def test_core_hotpath(tmp_path):
         loss_probs=(0.0, 0.05, 0.10), num_routers=40, num_packets=5,
         seeds=(1,), factories=[RPProtocolFactory()],
     )
-    plan_cache.GLOBAL_PLAN_CACHE.enabled = False
-    save_sweep(run_loss_sweep(**sweep_args), tmp_path / "uncached.json")
-    plan_cache.GLOBAL_PLAN_CACHE.enabled = True
+    with monkeypatch.context() as patch:
+        # The uncached arm: every planning call goes straight to plan_all.
+        patch.setattr(
+            plan_cache, "plans_for",
+            lambda planner, metrics=None: planner.plan_all(),
+        )
+        save_sweep(run_loss_sweep(**sweep_args), tmp_path / "uncached.json")
     plan_cache.clear()
     sweep_args["factories"] = [RPProtocolFactory()]
     save_sweep(run_loss_sweep(**sweep_args), tmp_path / "cached.json")

@@ -36,10 +36,10 @@ expensive.
 
 Determinism is asserted too: every arm must produce the identical run
 summary — modulo ``events_processed``, which is legitimately lower on
-the fast dissemination path that only the uninstrumented/no-op arms
-keep (the profiler and the time-series collector both disarm it; see
-``docs/PERFORMANCE.md``) — or the "overhead" numbers would compare
-different work.
+the fast dissemination path that the tracing and time-series arms give
+up (the tracer's link observer and the collector both disarm it; the
+profiler does not; see ``docs/PERFORMANCE.md``) — or the "overhead"
+numbers would compare different work.
 """
 
 import dataclasses

@@ -43,14 +43,12 @@ float-delay topologies the sweeps use, ties have measure zero
 ``plan_all`` falls back to the per-client loop whenever the scenario is
 not batchable: exact backend (byte-identical outputs are the contract
 there), non-default restrictions beyond ``forbid_direct_source``, or a
-non-stock estimator.  ``REPRO_BATCH_PLANNER=0`` disables the batched
-path outright (A/B timing, debugging).
+non-stock estimator.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,8 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def batchable(planner: "RPPlanner") -> bool:
     """True when ``plan_all`` may take the array-native path."""
-    if os.environ.get("REPRO_BATCH_PLANNER", "1") == "0":
-        return False
     if not isinstance(planner.routing.backend, LandmarkDistanceBackend):
         return False
     restrictions = planner.restrictions

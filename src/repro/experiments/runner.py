@@ -134,8 +134,8 @@ def run_protocol_detailed(
     (per-loss timelines, per-kind hop counters).
 
     ``instrumentation`` threads a telemetry bundle through the whole
-    run: the event queue and transmit path get its profiler, the
-    protocol agents its event bus and counters.  Instrumentation never
+    run: the event queue and planner get its profiler, the protocol
+    agents its event bus and counters.  Instrumentation never
     touches the RNG streams or event ordering, so an instrumented run
     reproduces the uninstrumented one exactly.
 
@@ -165,10 +165,9 @@ def run_protocol_detailed(
     (``recording(timeseries=...)``), the collector is armed with the
     live engine and ledger before the stream starts, the array
     dissemination fast path is disarmed (its batched ledger charges
-    would smear per-window bandwidth — the same contract as the
-    profiler), and after the drain the collector is finalized and feeds
-    the ``progress.stall`` watchdog.  ``health_config`` tunes the
-    watchdog thresholds.
+    would smear per-window bandwidth), and after the drain the
+    collector is finalized and feeds the ``progress.stall`` watchdog.
+    ``health_config`` tunes the watchdog thresholds.
     """
     config = built.config
     instr = instrumentation
@@ -213,7 +212,6 @@ def run_protocol_detailed(
             if config.congestion_alpha > 0
             else None
         ),
-        profiler=profiler,
         faults=injector,
         membership=director,
     )
@@ -243,8 +241,8 @@ def run_protocol_detailed(
     if timeseries is None:
         # Arm array dissemination: every send resolves its journey at
         # send time with keyed loss draws (refused under jitter,
-        # congestion, faults, churn or profiling, which need the
-        # hop-by-hop walkers; link observers are checked per send).
+        # congestion, faults or churn, which need the hop-by-hop
+        # walkers; link observers are checked per send).
         network.enable_fast_dissem()
     else:
         # Array dissemination charges the ledger at send time, which

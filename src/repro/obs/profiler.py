@@ -1,15 +1,15 @@
 """Scoped wall-clock timers for finding hot subsystems.
 
 A :class:`Profiler` accumulates elapsed wall-clock time per label.  The
-hooked subsystems (event dispatch, the network transmit path, the RP
-planner) check ``profiler is None or not profiler.enabled`` before
-paying for ``perf_counter`` calls, so an absent or disabled profiler
-costs one attribute test on the hot path.
+hooked subsystems (the event queue's ``run`` calls and compactions, the
+RP planner and its plan cache, the parallel sweep) check ``profiler is
+None or not profiler.enabled`` before paying for ``perf_counter``
+calls, so an absent or disabled profiler costs one attribute test.
 
-Labels are dotted lowercase (``sim.run``, ``net.transmit``,
-``planner.algorithm``).  Scopes may nest and overlap — ``net.transmit``
-time is also inside ``sim.run`` — so totals answer "where does the wall
-clock go *inside* each subsystem", not "what sums to 100%".
+Scopes wrap whole calls and phases, never single events or link
+traversals, so an enabled profiler costs a timing per phase and never
+changes which code path a run takes.  Labels are dotted lowercase
+(``events.run``, ``planner.algorithm``).
 """
 
 from __future__ import annotations

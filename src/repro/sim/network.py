@@ -42,8 +42,9 @@ members reached, the hops and drops charged — in numpy via
 events.  The hop-by-hop walkers below (one event per link traversal)
 remain for what needs per-traversal state: delay jitter, congestion,
 faults (Gilbert–Elliott burst loss included), membership churn, an
-enabled profiler, an armed time-series collector, attached link
-observers, and directly constructed networks.  Because a draw is a
+armed time-series collector, attached link observers, and directly
+constructed networks.  A profiler never picks the path: its scopes
+wrap whole runs and phases, not traversals.  Because a draw is a
 function of the traversal, not of when it is resolved, both give the
 same arrival times, deliveries and ledger totals (an in-flight registry
 refunds hops/drops charged at send time whose transmit instant falls
@@ -56,7 +57,6 @@ heavily) and cached per-node ``(child, link)`` arrays.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Protocol
@@ -74,7 +74,6 @@ from repro.sim.trace import TraceEvent, TraceKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle breaker
     from repro.metrics.collectors import BandwidthLedger
-    from repro.obs.profiler import Profiler
     from repro.sim.faults import FaultInjector
     from repro.sim.membership import MembershipDirector
 
@@ -251,7 +250,6 @@ class SimNetwork:
         jitter: float = 0.0,
         jitter_rng: np.random.Generator | None = None,
         congestion: "object | None" = None,
-        profiler: "Profiler | None" = None,
         faults: "FaultInjector | None" = None,
         membership: "MembershipDirector | None" = None,
     ):
@@ -297,9 +295,6 @@ class SimNetwork:
         # Optional load-dependent delays (LinearCongestionModel); None
         # keeps the paper's load-independent links.
         self._congestion = congestion
-        # Optional wall-clock profiling of the transmit path; None (or a
-        # disabled profiler) keeps the hot path at one attribute test.
-        self._profiler = profiler
         # Optional fault injection (crash windows, link downs, burst
         # loss, recovery black-holing — see repro.sim.faults).  None
         # keeps every fault check at a single attribute test, and the
@@ -453,9 +448,8 @@ class SimNetwork:
         """Arm array dissemination for a runner-driven session.
 
         Refused (checked here once) when a traversal needs state of its
-        own: delay jitter, a congestion model, a fault injector, a
-        membership director, or an enabled profiler (it counts
-        per-transmit scopes).  Attached link observers are checked at
+        own: delay jitter, a congestion model, a fault injector or a
+        membership director.  Attached link observers are checked at
         each send.  Only the runner calls this; directly constructed
         networks walk hop by hop throughout.
         """
@@ -465,8 +459,6 @@ class SimNetwork:
         if self._faults is not None or self._membership is not None:
             # Churn also mutates the tree mid-run, and TreeDissem
             # snapshots it once.
-            return False
-        if self._profiler is not None and self._profiler.enabled:
             return False
         self._fast = _FastDissem()
         return True
@@ -635,23 +627,6 @@ class SimNetwork:
         it from event-heap growth would mislabel transmissions whenever
         a hook or future primitive schedules differently).
         """
-        profiler = self._profiler
-        if profiler is None or not profiler.enabled:
-            return self._transmit_now(link, to_node, packet, journey, on_arrival)
-        t0 = time.perf_counter()
-        try:
-            return self._transmit_now(link, to_node, packet, journey, on_arrival)
-        finally:
-            profiler.add("net.transmit", time.perf_counter() - t0)
-
-    def _transmit_now(
-        self,
-        link: Link,
-        to_node: int,
-        packet: Packet,
-        journey,
-        on_arrival: Callable[[], None],
-    ) -> bool:
         self.ledger.charge_hop(packet.kind)
         faults = self._faults
         if faults is not None and faults.link_down(link, self.events.now):

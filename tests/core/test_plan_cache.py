@@ -1,6 +1,6 @@
 """Plan cache: fingerprint sensitivity, counters, LRU, and the
-end-to-end guarantee that a cached run is indistinguishable from an
-uncached one (plans, latencies, telemetry)."""
+end-to-end guarantee that a cached run is indistinguishable from one
+that plans afresh (plans, latencies, telemetry)."""
 
 import numpy as np
 import pytest
@@ -25,9 +25,7 @@ from repro.protocols.rp import RPProtocolFactory
 def isolated_global_cache():
     """Each test starts (and leaves) the process-global cache empty."""
     plan_cache.clear()
-    enabled = plan_cache.GLOBAL_PLAN_CACHE.enabled
     yield
-    plan_cache.GLOBAL_PLAN_CACHE.enabled = enabled
     plan_cache.clear()
 
 
@@ -119,15 +117,6 @@ class TestPlansFor:
         assert first == second == planner.plan_all()
         assert first is not second  # callers may mutate their mapping
 
-    def test_disabled_cache_is_passthrough(self):
-        cache = PlanCache(enabled=False)
-        planner = make_planner()
-        assert cache.plans_for(planner) == planner.plan_all()
-        assert len(cache) == 0
-        assert cache.stats() == {
-            "hits": 0, "misses": 0, "entries": 0, "hit_rate": 0.0,
-        }
-
     def test_metrics_counters(self):
         cache = PlanCache()
         registry = MetricsRegistry()
@@ -146,7 +135,7 @@ class TestPlansFor:
 
 
 class TestEndToEndEquivalence:
-    """A cached run must reproduce an uncached one bit for bit."""
+    """A cached run must reproduce a freshly planned one bit for bit."""
 
     CONFIG = ScenarioConfig(
         seed=11, num_routers=14, loss_prob=0.1, num_packets=8,
@@ -160,28 +149,33 @@ class TestEndToEndEquivalence:
         events = instr.bus.sinks[0].events()
         return artifacts, [e.to_dict() for e in events]
 
-    def test_cache_on_vs_off_identical(self):
-        plan_cache.GLOBAL_PLAN_CACHE.enabled = False
-        cold_art, cold_events = self._run()
-        plan_cache.GLOBAL_PLAN_CACHE.enabled = True
-        plan_cache.clear()
+    def test_miss_and_hit_runs_match_fresh_run(self):
         miss_art, miss_events = self._run()  # populates the cache
         hit_art, hit_events = self._run()  # replans from the cache
         assert plan_cache.GLOBAL_PLAN_CACHE.hits >= 1
-        assert cold_art.summary == miss_art.summary == hit_art.summary
-        assert cold_events == miss_events == hit_events
+        plan_cache.clear()
+        fresh_art, fresh_events = self._run()  # plans afresh again
+        assert plan_cache.GLOBAL_PLAN_CACHE.stats()["hits"] == 0
+        assert fresh_art.summary == miss_art.summary == hit_art.summary
+        assert fresh_events == miss_events == hit_events
 
     def test_factory_strategies_identical_across_cache_paths(self):
         built = build_scenario(self.CONFIG)
         factory = RPProtocolFactory()
-        plan_cache.GLOBAL_PLAN_CACHE.enabled = False
-        run_protocol_detailed(built, factory)
-        uncached = factory.last_strategies
-        plan_cache.GLOBAL_PLAN_CACHE.enabled = True
-        run_protocol_detailed(built, factory)
-        run_protocol_detailed(built, factory)
-        assert factory.last_strategies == uncached
-        assert list(factory.last_strategies) == list(uncached)
+        fresh = RPPlanner(
+            built.tree,
+            built.routing,
+            timeout_policy=factory.config.timeout_policy,
+            estimator=factory.config.estimator,
+            restrictions=factory.config.restrictions,
+        ).plan_all()
+        run_protocol_detailed(built, factory)  # miss
+        assert factory.last_strategies == fresh
+        assert list(factory.last_strategies) == list(fresh)
+        run_protocol_detailed(built, factory)  # hit
+        assert plan_cache.GLOBAL_PLAN_CACHE.hits == 1
+        assert factory.last_strategies == fresh
+        assert list(factory.last_strategies) == list(fresh)
 
     def test_loss_sweep_hits_cache_per_topology(self):
         # Same seed, different loss probs: one planning miss, then hits.

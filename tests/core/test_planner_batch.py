@@ -141,10 +141,23 @@ class TestEligibility:
         planner = RPPlanner(tree, routing, timeout_policy=Doubler(5.0))
         assert not planner_batch.batchable(planner)
 
-    def test_env_kill_switch(self, monkeypatch):
-        _, tree, routing = landmark_scene(9)
-        planner = RPPlanner(tree, routing)
-        monkeypatch.setenv("REPRO_BATCH_PLANNER", "0")
-        assert not planner_batch.batchable(planner)
-        monkeypatch.setenv("REPRO_BATCH_PLANNER", "1")
-        assert planner_batch.batchable(planner)
+    def test_plan_all_selects_batched_path_by_backend(self, monkeypatch):
+        # No switch: with stock knobs the routing backend alone decides
+        # whether plan_all takes the batched path.
+        calls = []
+        batched = planner_batch.batched_plan_all
+
+        def spy(planner):
+            calls.append(planner)
+            return batched(planner)
+
+        monkeypatch.setattr(planner_batch, "batched_plan_all", spy)
+        topo, tree, routing = landmark_scene(9)
+        landmark = RPPlanner(tree, routing)
+        assert planner_batch.batchable(landmark)
+        landmark.plan_all()
+        assert calls == [landmark]
+        exact = RPPlanner(tree, RoutingTable(topo, backend="exact"))
+        assert not planner_batch.batchable(exact)
+        exact.plan_all()
+        assert calls == [landmark]

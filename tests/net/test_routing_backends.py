@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.generators import TopologyConfig, random_backbone
 from repro.net.routing import (
-    BACKEND_ENV_VAR,
     ExactDistanceBackend,
     LandmarkDistanceBackend,
     RoutingTable,
@@ -410,14 +409,15 @@ class TestBackendSelection:
         )
         assert isinstance(make_backend("auto", topo), LandmarkDistanceBackend)
 
-    def test_env_override(self, monkeypatch):
+    def test_table_selects_by_node_count_unless_forced(self, monkeypatch):
         topo = random_backbone(
             TopologyConfig(num_routers=15), np.random.default_rng(2)
         )
-        monkeypatch.setenv(BACKEND_ENV_VAR, "landmark")
-        assert RoutingTable(topo).backend_name == "landmark"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "exact")
         assert RoutingTable(topo).backend_name == "exact"
+        assert RoutingTable(topo, backend="landmark").backend_name == "landmark"
+        monkeypatch.setattr("repro.net.routing.EXACT_AUTO_MAX_NODES", 10)
+        assert RoutingTable(topo).backend_name == "landmark"
+        assert RoutingTable(topo, backend="exact").backend_name == "exact"
 
     def test_unknown_backend_rejected(self):
         topo = random_backbone(

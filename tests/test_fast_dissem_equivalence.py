@@ -11,8 +11,9 @@ tolerances).
 
 The per-hop side of each comparison is forced through a test-local
 monkeypatch of ``SimNetwork.enable_fast_dissem`` (the runner's only
-arming point).  Gating is covered too: jitter, congestion, faults,
-churn and an enabled profiler must each keep the run on the walkers.
+arming point).  Gating is covered too: jitter, congestion, faults and
+churn must each keep the run on the walkers, while observing a run
+with the profiler on must not.
 """
 
 import dataclasses
@@ -421,16 +422,38 @@ class TestGatingFallbacks:
         off, on = self._pair(dissem_mode, config, membership=schedule)
         assert on.summary == off.summary
 
-    def test_enabled_profiler_disables_fast_path(self, dissem_mode):
-        config = ScenarioConfig(**BASE)
-        dissem_mode(True)
+    def test_enabled_profiler_keeps_fast_path(self, monkeypatch):
+        armed = []
+        enable = SimNetwork.enable_fast_dissem
+
+        def spy(network):
+            result = enable(network)
+            armed.append(network)
+            return result
+
+        monkeypatch.setattr(SimNetwork, "enable_fast_dissem", spy)
         instr = Instrumentation.recording(profile=True)
-        profiled = _run(RPProtocolFactory, config, instrumentation=instr)
-        dissem_mode(False)
-        per_hop = _run(RPProtocolFactory, config)
-        # The profiler's net.transmit scope counts every hop, so the
-        # profiled run must walk hop by hop, event for event.
-        assert (
-            profiled.summary.events_processed
-            == per_hop.summary.events_processed
-        )
+        assert instr.profiler.enabled
+        _run(RPProtocolFactory, ScenarioConfig(**BASE), instrumentation=instr)
+        assert [net.fast_dissem_enabled for net in armed] == [True]
+        # The profiler still measured the run, at phase granularity.
+        assert instr.profiler.total("events.run") > 0.0
+
+
+class TestObservedRunMatchesUnobserved:
+    """Measuring must not disarm what is being measured: a recording
+    run (event bus, counters, profiler on) takes the same code path as
+    the unobserved run, so even ``events_processed`` agrees."""
+
+    @pytest.mark.parametrize("factory", FACTORIES, ids=lambda f: f.name)
+    @pytest.mark.parametrize("lossless_recovery", [False, True])
+    def test_recording_summary_equals_plain(self, factory, lossless_recovery):
+        config = ScenarioConfig(**BASE, lossless_recovery=lossless_recovery)
+        plain = _run(factory, config)
+        instr = Instrumentation.recording()
+        try:
+            observed = _run(factory, config, instrumentation=instr)
+        finally:
+            instr.close()
+        assert instr.profiler.enabled
+        assert observed.summary == plain.summary  # events_processed included

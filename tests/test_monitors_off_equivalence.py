@@ -8,7 +8,8 @@ The run-health PR's bit-identity contract, in three legs:
   matches the uninstrumented one except ``events_processed`` (the
   collector disarms the array dissemination fast path, which coalesces
   per-member deliveries — the same carve-out the fast-dissem
-  equivalence suite pins);
+  equivalence suite pins; the collector is the only monitor that
+  disarms it, a recording run's profiler does not);
 * the health watchdogs are read-only: evaluating them twice over the
   same collectors yields the same report, and evaluating them does not
   change the collectors' counters.
