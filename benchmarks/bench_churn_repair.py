@@ -2,12 +2,14 @@
 
 The dynamic-membership acceptance claim: repairing the RP strategy set
 after one join/leave event costs *sublinearly* in the group size,
-against the ``plan_all`` baseline that re-plans every client (what
-``replan_on_death`` effectively does).  The leave dirty set is the
-clients whose chosen list contains the leaver; list lengths are small
-and do not grow with the group, and each peer appears in the lists of
-the clients in its tree vicinity — so the number of clients one
-departure dirties stays roughly constant while the group grows, and the
+against the ``plan_all`` baseline that re-plans every client (what a
+failure-detector death cost before deaths, too, went through the
+repairer).  The leave dirty set is the clients whose chosen list
+contains the leaver, and a join re-plans only the clients whose
+competitive class the joiner now wins; list lengths are small and do
+not grow with the group, and each peer appears in the lists of the
+clients in its tree vicinity — so the number of clients one event
+dirties stays roughly constant while the group grows, and the
 *fraction* of the group each event re-plans shrinks.
 
 Two measurements per backbone size, recorded in

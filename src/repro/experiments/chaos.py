@@ -24,11 +24,12 @@ What comes out per (intensity, seed, protocol) cell:
 * the injector's per-kind fault counts and the membership director's
   composition counters (leaves, joins, drops at departed members), so a
   point's severity is auditable;
-* for the planning protocol (RP) under churn, the **incremental plan
-  repair** cost — how many clients each composition change re-planned
+* for the planning protocol (RP), the **incremental plan repair** cost
+  — how many clients each peer death or composition change re-planned
   (``repair_fraction``; sublinear repair keeps it far below 1.0) — and
   the **quality gap**, the worst relative expected-delay difference
-  between the repaired plans and planning the final group from scratch.
+  between the repaired plans and planning the final group (dead and
+  departed peers excluded) from scratch.
 
 Four gates must hold on every axis (:attr:`ChaosSweepResult.gates_pass`):
 
@@ -170,10 +171,10 @@ class ChaosRunRecord:
     #: plan.repair); ``None`` when the axis does not churn.
     member_counts: dict[str, int] | None = None
     #: Incremental plan-repair accounting (zeros for non-planning
-    #: protocols or churn-free cells).
+    #: protocols or cells where no peer died or churned).
     repair_events: int = 0
     repair_replans: int = 0
-    #: Mean fraction of the group re-planned per composition change —
+    #: Mean fraction of the group re-planned per death or churn event —
     #: the sublinearity headline (1.0 would be plan_all-per-event).
     repair_fraction: float = 0.0
     #: Wall-clock spent repairing — live diagnostic only, excluded from
@@ -182,7 +183,7 @@ class ChaosRunRecord:
     repair_seconds: float = 0.0
     #: Worst relative expected-delay gap between the repaired plans and
     #: a from-scratch plan of the final group (``None`` when the
-    #: protocol does not plan or nothing churned).
+    #: protocol does not plan or no peer died or churned).
     repair_quality_gap: float | None = None
     #: Invariant-watchdog failures from the run's health report.
     health_violations: int = 0
@@ -431,7 +432,7 @@ def _run_cell(
     summary = artifacts.summary
     repair: dict = {}
     repairer = getattr(factory, "last_repairer", None)
-    if artifacts.membership is not None and repairer is not None:
+    if repairer is not None:
         stats = repairer.stats()
         repair = {
             "repair_events": stats["events"],
@@ -443,7 +444,7 @@ def _run_cell(
             # The quality audit: re-plan the *final* group from scratch
             # and compare every repaired plan against it.
             repair["repair_quality_gap"] = repairer.verify_against_scratch(
-                artifacts.membership.departed
+                factory.excluded_peers()
             )
 
     def counts(live, scheduled) -> dict[str, int] | None:

@@ -25,7 +25,7 @@ cannot show:
   abandoned).  See :mod:`repro.sim.faults`.
 * :class:`MemberEvent` — one group-composition change (a member leaving
   or rejoining), its enforcement (deliveries dropped / sends suppressed
-  for departed members), or the plan-repair reaction to it.  See
+  for departed members), or a plan repair (after it or a peer death).  See
   :mod:`repro.sim.membership`.
 
 The :class:`EventBus` fans records out to attached sinks.  Its
@@ -185,7 +185,7 @@ class MemberEvent(ObsEvent):
     """A group-composition change or its enforcement.
 
     ``action`` is the dotted kind (``member.leave``, ``member.join``,
-    ``member.rx_drop``, ``member.tx_drop``, ``plan.repair``);
+    ``member.rx_drop``, ``member.tx_drop``, ``plan.repair``, also on deaths);
     ``node``/``seq`` carry whatever identity the kind has (-1 where not
     applicable).  See :mod:`repro.sim.membership`.
     """

@@ -192,7 +192,7 @@ class ObsReport:
         }
         if membership:
             lines.append("")
-            lines.append("membership churn:")
+            lines.append("membership and plan repair:")
             parts = ", ".join(
                 f"{name}={value}" for name, value in membership.items()
             )

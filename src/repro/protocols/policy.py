@@ -63,8 +63,8 @@ class RecoveryPolicy:
         :class:`PeerFailureDetector` declares it dead; 0 (default)
         disables the detector.
     replan_on_death:
-        RP only: when a peer dies, re-plan the prioritized list through
-        the plan cache with all dead peers restricted out (new
+        RP only: when a peer dies, re-plan the prioritized lists that
+        name it, with all dead and departed peers restricted out (new
         recoveries use the repaired plan; in-flight recoveries finish
         on the list they started with).
     """

@@ -22,8 +22,8 @@ crashed or black-holed source is a silent hang, so the runtime also
 supports a hardened mode through
 :class:`~repro.protocols.policy.RecoveryPolicy`: bounded per-peer
 retries with exponential backoff, a consecutive-timeout failure
-detector that skips dead peers (optionally re-planning the prioritized
-lists with the dead peers restricted out of the strategy graph), and a
+detector that skips dead peers (optionally re-planning, incrementally,
+the prioritized lists that name a dead peer), and a
 bounded source fallback that terminates hopeless recoveries in an
 explicit ``abandoned`` record.  At the default policy every hardened
 path collapses to the paper-faithful behaviour above, bit for bit.
@@ -42,7 +42,11 @@ from repro.core.objective import AttemptCostEstimator
 from repro.core.strategy_graph import StrategyRestrictions
 from repro.core.timeouts import TimeoutPolicy
 from repro.metrics.collectors import RecoveryLog
-from repro.obs.instrumentation import SOURCE_RANK, Instrumentation
+from repro.obs.instrumentation import (
+    NULL_INSTRUMENTATION,
+    SOURCE_RANK,
+    Instrumentation,
+)
 from repro.protocols.base import (
     ClientAgent,
     CompletionTracker,
@@ -471,14 +475,16 @@ class RPProtocolFactory(ProtocolFactory):
 
     def __init__(self, config: RPConfig | None = None):
         self.config = config or RPConfig()
-        #: Strategies planned by the most recent :meth:`install` —
-        #: telemetry reports read them for the per-rank predictions.
+        #: Strategies of the most recent :meth:`install`, kept current by
+        #: plan repair — telemetry reports read them for the predictions.
         self.last_strategies: dict[int, RecoveryStrategy] = {}
-        #: The incremental repairer wired by the most recent
-        #: :meth:`attach_membership` (its history/stats feed the churn
-        #: sweep's repair-cost report); None until one is attached.
+        #: The incremental repairer of the most recent run (its
+        #: history/stats feed the chaos sweep's repair-cost report);
+        #: None until a death re-plans or a director is attached.
         self.last_repairer = None
         self._install_ctx: tuple | None = None
+        self._detector: PeerFailureDetector | None = None
+        self._director = None
 
     def install(
         self,
@@ -496,62 +502,40 @@ class RPProtocolFactory(ProtocolFactory):
             from repro.core.objective import RttOnlyEstimator
 
             estimator = RttOnlyEstimator()
-        metrics = (
-            instrumentation.registry
-            if instrumentation is not None and instrumentation.enabled
-            else None
+        instr = (
+            instrumentation if instrumentation is not None
+            else NULL_INSTRUMENTATION
         )
-        profiler = (
-            instrumentation.profiler if instrumentation is not None else None
+        restrictions = self.config.restrictions or StrategyRestrictions()
+        planner = RPPlanner(
+            network.tree,
+            network.routing,
+            timeout_policy=self.config.timeout_policy,
+            estimator=estimator,
+            restrictions=restrictions,
+            profiler=instr.profiler,
         )
-
-        def plan(restrictions: StrategyRestrictions | None):
-            planner = RPPlanner(
-                network.tree,
-                network.routing,
-                timeout_policy=self.config.timeout_policy,
-                estimator=estimator,
-                restrictions=restrictions,
-                profiler=profiler,
-            )
-            # Planning is a pure function of (tree, RTTs, timeout,
-            # estimator, restrictions) — notably not of link loss
-            # probabilities — so a loss-probability sweep hits the
-            # process-global plan cache on every point after the first
-            # (see repro.core.plan_cache).  The restrictions are part of
-            # the cache key, so failure-detector re-plans with the same
-            # dead set hit too.
-            return plan_cache.plans_for(planner, metrics=metrics)
-
-        self.last_strategies = plan(self.config.restrictions)
+        # Planning is a pure function of (tree, RTTs, timeout, estimator,
+        # restrictions) — notably not of link loss probabilities — so a
+        # loss-probability sweep hits the process-global plan cache on
+        # every point after the first (see repro.core.plan_cache).  Deaths
+        # and churn never re-plan the whole group: the incremental
+        # repairer re-plans only the clients they invalidate.
+        self.last_strategies = plan_cache.plans_for(
+            planner, metrics=instr.registry if instr.enabled else None
+        )
+        self.last_repairer = self._director = None
         policy = self.config.recovery_policy
         agents: dict[int, RPClientAgent] = {}
         detector: PeerFailureDetector | None = None
         if policy.failure_threshold > 0:
-
-            def on_death(peer: int) -> None:
-                if not policy.replan_on_death:
-                    return
-                base = self.config.restrictions or StrategyRestrictions()
-                replanned = plan(
-                    dataclasses.replace(
-                        base,
-                        forbidden_peers=(
-                            frozenset(base.forbidden_peers) | detector.dead
-                        ),
-                    )
-                )
-                self.last_strategies = replanned
-                # Swap lists for subsequent recoveries; in-flight
-                # recoveries hold their own strategy snapshot.
-                for client, agent in agents.items():
-                    new = replanned.get(client)
-                    if new is not None:
-                        agent.strategy = new
-
             detector = PeerFailureDetector(
-                policy.failure_threshold, on_death=on_death
+                policy.failure_threshold,
+                on_death=functools.partial(self._repair, "death")
+                if policy.replan_on_death else None,
             )
+        # Without replan_on_death, dead peers are only skipped at runtime.
+        self._detector = detector if policy.replan_on_death else None
         for client, strategy in self.last_strategies.items():
             agent = RPClientAgent(
                 client,
@@ -579,71 +563,73 @@ class RPProtocolFactory(ProtocolFactory):
             subgrouping=subgrouping,
         )
         network.attach_agent(source.node, source)
-        self._install_ctx = (network, agents, estimator, instrumentation)
+        self._install_ctx = (network, agents, estimator, instr, restrictions)
         return source
 
-    # -- dynamic membership ------------------------------------------------
+    # -- plan repair -------------------------------------------------------
 
-    def _replan_client(
-        self, network: SimNetwork, estimator, client: int,
-        departed: frozenset,
-    ) -> RecoveryStrategy:
-        """From-scratch plan for one client with ``departed`` restricted
-        out of the strategy graph — the incremental repairer's unit of
-        work, generalizing the failure detector's ``replan_on_death``."""
-        base = self.config.restrictions or StrategyRestrictions()
-        planner = RPPlanner(
+    def excluded_peers(self) -> frozenset:
+        """The peers no plan of the last installed run may name: the
+        configured forbidden peers, the peers the failure detector has
+        declared dead (when deaths re-plan) and the departed members."""
+        excluded = frozenset(self._install_ctx[4].forbidden_peers)
+        if self._detector is not None:
+            excluded |= self._detector.dead
+        if self._director is not None:
+            excluded |= self._director.departed
+        return excluded
+
+    def _replan_client(self, client: int, excluded: frozenset) -> RecoveryStrategy:
+        """From-scratch plan for one client with ``excluded`` restricted
+        out of the strategy graph — the repairer's unit of work."""
+        network, _, estimator, _, restrictions = self._install_ctx
+        return RPPlanner(
             network.tree,
             network.routing,
             timeout_policy=self.config.timeout_policy,
             estimator=estimator,
             restrictions=dataclasses.replace(
-                base,
-                forbidden_peers=frozenset(base.forbidden_peers) | departed,
+                restrictions, forbidden_peers=excluded
             ),
+        ).plan(client)
+
+    def _repairer(self):
+        """The run's repairer, built on first use from the installed
+        plans; ``last_strategies`` then tracks its strategy set."""
+        if self.last_repairer is None:
+            from repro.core.plan_repair import IncrementalPlanRepairer
+
+            network, _, _, _, restrictions = self._install_ctx
+            self.last_repairer = IncrementalPlanRepairer(
+                network.tree,
+                network.routing,
+                self.last_strategies,
+                self._replan_client,
+                excluded=frozenset(restrictions.forbidden_peers),
+            )
+            self.last_strategies = self.last_repairer.strategies
+        return self.last_repairer
+
+    def _repair(self, kind: str, node: int) -> None:
+        """Re-plan what one death or membership change invalidates, swap
+        the new lists into the live agents for *subsequent* recoveries,
+        and emit one ``plan.repair`` record."""
+        network, agents, _, instr, _ = self._install_ctx
+        replanned = self._repairer().repair(kind, node, self.excluded_peers())
+        for client, strategy in replanned.items():
+            agents[client].strategy = strategy
+        instr.member(
+            network.events.now, "plan.repair", node=node, seq=len(replanned),
         )
-        return planner.plan(client)
 
     def attach_membership(self, director) -> None:
-        """Wire incremental plan repair to a membership director.
-
-        Must follow :meth:`install` (the repairer seeds from the
-        installed strategies).  After every join/leave the director
-        fires, only the invalidated clients are re-planned (see
-        :mod:`repro.core.plan_repair`); repaired lists are swapped into
-        the live agents for *subsequent* recoveries — in-flight
-        recoveries keep their strategy snapshot, exactly as with
-        failure-detector re-plans — and one ``plan.repair`` record is
-        emitted carrying the re-planned client count.
-        """
+        """Wire plan repair to a membership director (after
+        :meth:`install`): every join/leave it fires goes through the
+        run's repairer, like a failure-detector death."""
         if self._install_ctx is None:
             raise RuntimeError("attach_membership() requires install() first")
-        from repro.core.plan_repair import IncrementalPlanRepairer
-        from repro.obs.instrumentation import NULL_INSTRUMENTATION
-
-        network, agents, estimator, instrumentation = self._install_ctx
-        instr = (
-            instrumentation if instrumentation is not None
-            else NULL_INSTRUMENTATION
+        self._director = director
+        self._repairer()
+        director.add_listener(
+            lambda kind, node, _director: self._repair(kind, node)
         )
-        repairer = IncrementalPlanRepairer(
-            network.tree,
-            network.routing,
-            self.last_strategies,
-            functools.partial(self._replan_client, network, estimator),
-        )
-        self.last_repairer = repairer
-
-        def on_change(kind: str, node: int, director) -> None:
-            replanned = repairer.repair(kind, node, director.departed)
-            for client, strategy in replanned.items():
-                agent = agents.get(client)
-                if agent is not None:
-                    agent.strategy = strategy
-            self.last_strategies = dict(repairer.strategies)
-            instr.member(
-                network.events.now, "plan.repair", node=node,
-                seq=len(replanned),
-            )
-
-        director.add_listener(on_change)

@@ -253,9 +253,6 @@ class MembershipDirector:
     def departed(self) -> frozenset[int]:
         return frozenset(self._departed)
 
-    def is_member(self, node: int) -> bool:
-        return node not in self._departed
-
     def members(self) -> list[int]:
         """Current group: the tree's clients minus departed interiors."""
         assert self._network is not None

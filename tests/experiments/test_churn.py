@@ -9,8 +9,11 @@ from repro.experiments.chaos import (
     ChaosPoint,
     ChaosRunRecord,
     ChaosSweepResult,
+    hardened_factory,
     run_chaos_sweep,
 )
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.runner import build_scenario, run_protocol_detailed
 
 
 def run_churn_sweep(**kwargs):
@@ -53,8 +56,28 @@ class TestRunChurnSweep:
         for record in baseline.records:
             assert record.member_counts == {}
             assert record.leaves == 0 and record.joins == 0
-            assert record.repair_events == 0
-            assert record.repair_quality_gap is None
+            if record.protocol != "RP":
+                assert record.repair_events == 0
+                assert record.repair_quality_gap is None
+        # RP's repairer also handles failure-detector deaths, which plain
+        # loss can cause without any churn: rerun the cell and check
+        # that every repair it recorded was a death.
+        (rp,) = [r for r in baseline.records if r.protocol == "RP"]
+        factory = hardened_factory("rp")
+        run_protocol_detailed(
+            build_scenario(ScenarioConfig(
+                seed=1, num_routers=25, loss_prob=0.05, num_packets=6,
+                lossless_recovery=False,
+            )),
+            factory,
+        )
+        history = (
+            factory.last_repairer.history
+            if factory.last_repairer is not None else []
+        )
+        assert {h["kind"] for h in history} <= {"death"}
+        assert rp.repair_events == len(history)
+        assert rp.repair_quality_gap == (0.0 if history else None)
 
     def test_churned_point_churns(self, small_sweep):
         churned = small_sweep.points[1]
