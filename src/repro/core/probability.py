@@ -29,7 +29,7 @@ first ``m = min(DS_u, min_{f∈F} DS_f)`` positions, so the next peer
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 
 def _check_ds(ds: int, name: str = "ds") -> None:
@@ -89,6 +89,25 @@ def lemma3(ds_k: int, ds_u: int) -> float:
     if ds_k > ds_u:
         raise ValueError(f"ds_k ({ds_k}) cannot exceed ds_u ({ds_u})")
     return ds_k / ds_u
+
+
+def list_failure_ratios(strategies: Iterable) -> Iterator[tuple[object, int, float]]:
+    """Lemma 1's conditional failure ``DS_j / DS_{j-1}`` (``DS_0 = DS_u``)
+    of every attempt of every prioritized list, as ``(strategy, rank,
+    ratio)`` in list order.
+
+    ``strategies`` are :class:`~repro.core.planner.RecoveryStrategy`
+    objects (any order, unvalidated: naive lists need not descend).  An
+    attempt after a ``DS = 0`` step is skipped — no loss reaches it.
+    This is the one place the per-rank model predictions are computed
+    from; the obs report and the critical-path analysis average it.
+    """
+    for strategy in strategies:
+        prev_ds = strategy.ds_u
+        for rank, candidate in enumerate(strategy.attempts):
+            if prev_ds > 0:
+                yield strategy, rank, candidate.ds / prev_ds
+            prev_ds = candidate.ds
 
 
 class SingleLossModel:

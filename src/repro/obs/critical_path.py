@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.objective import BlendEstimator
+from repro.core.probability import list_failure_ratios
 from repro.obs.events import SOURCE_RANK
 from repro.obs.spans import (
     CATEGORY_ATTEMPT,
@@ -224,20 +225,13 @@ def _predicted_per_rank(strategies: dict) -> dict[int, tuple[float, float]]:
     fail_sums: dict[int, float] = {}
     cost_sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    src_cost_sum = 0.0
-    for strategy in strategies.values():
-        prev_ds = strategy.ds_u
-        for rank, candidate in enumerate(strategy.attempts):
-            if prev_ds > 0:
-                p_fail = candidate.ds / prev_ds
-                timeout = strategy.timeouts[rank]
-                fail_sums[rank] = fail_sums.get(rank, 0.0) + p_fail
-                cost_sums[rank] = cost_sums.get(rank, 0.0) + estimator.cost(
-                    candidate.rtt, timeout, 1.0 - p_fail
-                )
-                counts[rank] = counts.get(rank, 0) + 1
-            prev_ds = candidate.ds
-        src_cost_sum += strategy.source_rtt
+    for strategy, rank, p_fail in list_failure_ratios(strategies.values()):
+        fail_sums[rank] = fail_sums.get(rank, 0.0) + p_fail
+        cost_sums[rank] = cost_sums.get(rank, 0.0) + estimator.cost(
+            strategy.attempts[rank].rtt, strategy.timeouts[rank], 1.0 - p_fail
+        )
+        counts[rank] = counts.get(rank, 0) + 1
+    src_cost_sum = sum(s.source_rtt for s in strategies.values())
     out = {
         rank: (fail_sums[rank] / counts[rank], cost_sums[rank] / counts[rank])
         for rank in counts

@@ -75,9 +75,12 @@ class AttemptEvent(ObsEvent):
     ``attempt`` is the 1-based count of requests this (client, seq)
     recovery has sent so far; ``rank`` is the prioritized-list index
     tried (:data:`SOURCE_RANK` for the source fallback — source retries
-    keep the same rank).  ``elapsed`` is sim-time since this attempt
-    started (0 for ``started``; for ``succeeded`` it is measured from
-    loss detection, so it equals the loss's recovery latency).
+    keep the same rank).  ``elapsed`` is sim-time since loss detection
+    for ``started`` (0 for the first attempt; the tracer back-dates the
+    recovery's root span with it) and for the terminal ``succeeded`` /
+    ``retracted`` / ``abandoned`` (so a success carries the loss's
+    recovery latency); for ``timed_out`` and ``nacked`` it is sim-time
+    since the attempt being closed started.
     """
 
     kind: ClassVar[str] = "attempt"

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.probability import list_failure_ratios
 from repro.obs.events import SOURCE_RANK, AttemptEvent
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.sinks import RingBufferSink
@@ -222,14 +223,9 @@ def predicted_rank_success(strategies: dict) -> dict[int, float]:
     """
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for strategy in strategies.values():
-        prev_ds = strategy.ds_u
-        for rank, candidate in enumerate(strategy.attempts):
-            if prev_ds > 0:
-                p = 1.0 - candidate.ds / prev_ds
-                sums[rank] = sums.get(rank, 0.0) + p
-                counts[rank] = counts.get(rank, 0) + 1
-            prev_ds = candidate.ds
+    for _, rank, ratio in list_failure_ratios(strategies.values()):
+        sums[rank] = sums.get(rank, 0.0) + (1.0 - ratio)
+        counts[rank] = counts.get(rank, 0) + 1
     out = {rank: sums[rank] / counts[rank] for rank in sums}
     out[SOURCE_RANK] = 1.0
     return out

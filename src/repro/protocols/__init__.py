@@ -12,11 +12,14 @@ Four protocols run on the simulator:
   & Garcia-Luna-Aceves): one-by-one search of the nearest upstream
   receivers, repair multicast to the subtree covering all requesters;
 * :mod:`repro.protocols.source` — plain source-based recovery (extra
-  reference point; the paper's section-1 first category).
+  reference point; the paper's section-1 first category): RP's runtime
+  on the empty prioritized list, with a source that repairs by unicast.
 
 All share :mod:`repro.protocols.base`: gap-based loss detection, the
-completion tracker, and the data/session stream driver — so latency and
-bandwidth comparisons between protocols are apples-to-apples.
+recovery lifecycle (pending-recovery record, success/retraction,
+abandonment, departure teardown), the completion tracker, and the
+data/session stream driver — so latency and bandwidth comparisons
+between protocols are apples-to-apples.
 """
 
 from repro.protocols.base import (

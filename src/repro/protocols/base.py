@@ -21,7 +21,13 @@ import abc
 from dataclasses import dataclass
 
 from repro.metrics.collectors import RecoveryLog
-from repro.obs.instrumentation import NULL_INSTRUMENTATION, Instrumentation
+from repro.obs.instrumentation import (
+    NULL_INSTRUMENTATION,
+    SOURCE_RANK,
+    Instrumentation,
+)
+from repro.protocols.policy import DEFAULT_RECOVERY_POLICY
+from repro.sim.engine import Timer
 from repro.sim.network import SimNetwork
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.rng import RngStreams
@@ -73,17 +79,59 @@ class CompletionTracker:
         return self._remaining == 0
 
 
+class PendingRecovery:
+    """Lifecycle state of one in-progress loss recovery.
+
+    ``attempts_sent`` counts the requests sent so far; ``rank`` and
+    ``peer`` name the latest one's target (:data:`SOURCE_RANK` and -1
+    until the first goes out) and ``sent_at`` its send time.  Runtimes
+    subclass it for their own search state.
+    """
+
+    __slots__ = (
+        "seq", "timer", "detected_at", "attempts_sent", "rank", "peer",
+        "sent_at",
+    )
+
+    def __init__(
+        self, seq: int, detected_at: float, rank: int = SOURCE_RANK,
+        peer: int = -1,
+    ):
+        self.seq = seq
+        self.timer: Timer | None = None
+        self.detected_at = detected_at
+        self.attempts_sent = 0
+        self.rank = rank
+        self.peer = peer
+        self.sent_at = detected_at
+
+
 class ClientAgent:
-    """Base receiver: reception bookkeeping + gap-based loss detection.
+    """Base receiver: reception bookkeeping, gap-based loss detection and
+    the recovery lifecycle every runtime shares.
 
-    Subclasses implement the recovery mechanism through three hooks:
+    Subclasses implement the recovery mechanism through two hooks:
 
-    * :meth:`on_loss_detected` — start recovering ``seq``;
-    * :meth:`on_recovered` — the missing packet arrived (by whatever
-      route); tear down per-seq recovery state;
+    * :meth:`on_loss_detected` — start recovering ``seq`` (register a
+      :class:`PendingRecovery` in ``_pending``);
     * :meth:`on_protocol_packet` — REQUEST/NACK traffic addressed to or
       overheard by this client.
+
+    Unicast runtimes send through :meth:`_send_request` and decide what
+    follows a silent attempt in :meth:`_on_attempt_timeout`.  The end of
+    a recovery is shared: :meth:`on_recovered` (the packet arrived by
+    whatever route), :meth:`_abandon_recovery` (bounded retries
+    exhausted) and :meth:`_teardown_recoveries` (departure).  Runtimes
+    differ only in data: ``protocol`` names them in telemetry,
+    ``timer_label`` labels their attempt timer.
     """
+
+    protocol = "base"
+    timer_label = "recovery"
+    #: Retry/backoff knobs; shared per-run failure detector (None =
+    #: disabled).  Runtimes without them keep these defaults.
+    policy = DEFAULT_RECOVERY_POLICY
+    detector = None
 
     def __init__(
         self,
@@ -105,6 +153,7 @@ class ClientAgent:
         self.received: set[int] = set()
         self.detected: set[int] = set()
         self.abandoned_seqs: set[int] = set()
+        self._pending: dict[int, PendingRecovery] = {}
         self._next_unchecked = 0
         #: True while the member is out of the group (see :meth:`depart`).
         self.departed = False
@@ -166,9 +215,6 @@ class ClientAgent:
     def on_loss_detected(self, seq: int) -> None:  # pragma: no cover - abstract-ish
         raise NotImplementedError
 
-    def on_recovered(self, seq: int) -> None:
-        """Default: nothing to tear down."""
-
     def on_new_packet(self, seq: int) -> None:
         """Called on every first-time acceptance of a sequence, whether
         or not it had been detected as lost.  Protocols that owe other
@@ -199,10 +245,10 @@ class ClientAgent:
         """The member left the group (churn, not crash).
 
         Every in-flight recovery terminates explicitly — the detected
-        losses are abandoned (log record + tracker settlement) and the
-        subclass cancels its armed timers via
-        :meth:`_teardown_recoveries`, so a churned run drains with zero
-        pending timers and ``member.tx_drop`` never fires.
+        losses are abandoned (log record + tracker settlement) and
+        :meth:`_teardown_recoveries` cancels the armed timers, so a
+        churned run drains with zero pending timers and
+        ``member.tx_drop`` never fires.
 
         A *permanent* leaver additionally settles every slot it never
         received and — being gone — will never detect: quietly, with no
@@ -228,10 +274,122 @@ class ClientAgent:
         the next SESSION message's gap scan."""
         self.departed = False
 
+    # -- recovery lifecycle -------------------------------------------------
+
+    def _attempt_event(
+        self, record: PendingRecovery, status: str, since: float
+    ) -> None:
+        now = self.network.events.now
+        self.instr.attempt(
+            now, self.protocol, self.node, record.seq, record.attempts_sent,
+            record.rank, record.peer, status, elapsed=now - since,
+        )
+
+    def _timer_event(
+        self, record: PendingRecovery, action: str, deadline: float = 0.0
+    ) -> None:
+        self.instr.timer(
+            self.network.events.now, self.protocol, self.node,
+            self.timer_label, action, deadline=deadline, seq=record.seq,
+        )
+
+    def _send_request(
+        self,
+        record: PendingRecovery,
+        rank: int,
+        peer: int,
+        timeout: float,
+        retries: int = 0,
+        req_id: int = -1,
+    ) -> None:
+        """Unicast the next REQUEST of ``record`` to ``peer`` and arm its
+        attempt timer.  ``retries`` earlier requests to the same target
+        back the timeout off (scale 1 at the default policy)."""
+        now = self.network.events.now
+        scale = self.policy.backoff_scale(retries)
+        if scale != 1.0:
+            scaled = timeout * scale
+            self.instr.backoff(
+                now, self.protocol, self.node, record.seq,
+                backoff=retries, extra=scaled - timeout,
+            )
+            timeout = scaled
+        record.attempts_sent += 1
+        record.rank = rank
+        record.peer = peer
+        record.sent_at = now
+        # The attempt event opens the trace span, so the span context
+        # must be read *after* emitting it.
+        self._attempt_event(record, "started", record.detected_at)
+        trace_id, span_id = self.instr.trace_ids(self.node, record.seq)
+        request = Packet(
+            PacketKind.REQUEST, record.seq, origin=self.node, req_id=req_id,
+            trace_id=trace_id, span_id=span_id,
+        )
+        self.network.send_unicast(self.node, peer, request)
+        record.timer = self.network.events.schedule(
+            timeout, lambda: self._attempt_expired(record)
+        )
+        self._timer_event(record, "armed", deadline=now + timeout)
+
+    def _attempt_expired(self, record: PendingRecovery) -> None:
+        if record.seq not in self._pending:
+            return  # already recovered; timer raced with teardown
+        self._timer_event(record, "fired")
+        self._attempt_event(record, "timed_out", record.sent_at)
+        self._on_attempt_timeout(record)
+
+    def _on_attempt_timeout(self, record: PendingRecovery) -> None:
+        """The latest request of ``record`` went unanswered; send the
+        next one (or abandon).  Unicast runtimes override."""
+        raise NotImplementedError
+
+    def on_recovered(self, seq: int) -> None:
+        """The missing packet arrived (by whatever route): close the
+        recovery as ``succeeded``, or ``retracted`` when the late
+        original DATA proved the detection false."""
+        record = self._pending.pop(seq, None)
+        if record is None:
+            return
+        if record.timer is not None:
+            record.timer.cancel()
+            self._timer_event(record, "cancelled")
+        if self.log.is_recovered(self.node, seq):
+            if self.detector is not None:
+                self.detector.record_alive(record.peer)
+            # Success is attributed to the outstanding attempt: repairs
+            # raced from an earlier rank are rare and indistinguishable
+            # here without packet provenance.
+            self._attempt_event(record, "succeeded", record.detected_at)
+            if record.attempts_sent:
+                self.instr.observe(
+                    f"{self.protocol}.attempts_per_recovery",
+                    record.attempts_sent,
+                )
+        else:
+            self._attempt_event(record, "retracted", record.detected_at)
+
+    def _abandon_recovery(self, record: PendingRecovery) -> None:
+        """Bounded retries exhausted — terminate the recovery explicitly."""
+        self._pending.pop(record.seq, None)
+        if record.timer is not None:
+            record.timer.cancel()
+        self._attempt_event(record, "abandoned", record.detected_at)
+        self.instr.fault(
+            self.network.events.now, "recovery.abandoned",
+            node=self.node, seq=record.seq,
+        )
+        self.abandon(record.seq)
+
     def _teardown_recoveries(self) -> None:
-        """Cancel every armed recovery timer and drop per-seq recovery
-        state.  Subclasses with timers **must** override — the liveness
-        checker counts stale armed timers at drain."""
+        """Departure teardown: cancel every armed attempt timer and drop
+        the per-seq recovery state (the liveness checker counts stale
+        armed timers at drain)."""
+        for record in self._pending.values():
+            if record.timer is not None:
+                record.timer.cancel()
+                self._timer_event(record, "cancelled")
+        self._pending.clear()
 
     def force_detect(self, seq: int) -> None:
         """Treat ``seq`` as lost right now even without a gap.

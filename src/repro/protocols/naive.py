@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.candidates import Candidate
+from repro.core.objective import Attempt, expected_strategy_delay
 from repro.core.planner import RecoveryStrategy
 from repro.core.timeouts import ProportionalTimeout, TimeoutPolicy
 from repro.metrics.collectors import RecoveryLog
@@ -73,8 +74,6 @@ def _strategy_from_peers(
     The recorded ``expected_delay`` is the general-order objective
     (eq. 2), so naive lists can be compared analytically too.
     """
-    from repro.core.objective import Attempt, expected_strategy_delay
-
     tree = network.tree
     routing = network.routing
     attempts = tuple(

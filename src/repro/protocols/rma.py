@@ -47,6 +47,7 @@ from repro.obs.instrumentation import SOURCE_RANK, Instrumentation
 from repro.protocols.base import (
     ClientAgent,
     CompletionTracker,
+    PendingRecovery,
     ProtocolFactory,
     RepairDeduper,
     SourceAgentBase,
@@ -56,7 +57,6 @@ from repro.protocols.policy import (
     PeerFailureDetector,
     RecoveryPolicy,
 )
-from repro.sim.engine import Timer
 from repro.sim.network import SimNetwork
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.rng import RngStreams
@@ -106,29 +106,22 @@ def upstream_receiver_order(
     return list(zip(peers[order].tolist(), rtt[order].tolist()))
 
 
-class _PendingSearch:
-    __slots__ = (
-        "seq", "index", "timer", "deadline",
-        "detected_at", "attempts_sent", "rank", "peer", "sent_at",
-        "source_attempts",
-    )
+class _PendingSearch(PendingRecovery):
+    __slots__ = ("index", "deadline", "source_attempts")
 
-    def __init__(self, seq: int, deadline: float, detected_at: float = 0.0):
-        self.seq = seq
+    def __init__(self, seq: int, deadline: float, detected_at: float):
+        super().__init__(seq, detected_at)
         self.index = 0
-        self.timer: Timer | None = None
         self.deadline = deadline
-        self.detected_at = detected_at
-        self.attempts_sent = 0
-        self.rank = SOURCE_RANK
-        self.peer = -1
-        self.sent_at = detected_at
         # Requests sent to the source so far: drives the hardened
         # policy's backoff scale and bounded-fallback abandonment.
         self.source_attempts = 0
 
 
 class RMAClientAgent(ClientAgent):
+    protocol = "rma"
+    timer_label = "rma.search"
+
     def __init__(
         self,
         node: int,
@@ -152,7 +145,6 @@ class RMAClientAgent(ClientAgent):
         self._search_budget = config.source_deadline_factor * max(
             self._source_rtt, 1.0
         )
-        self._pending: dict[int, _PendingSearch] = {}
         # seq -> meeting routers of requests we subsumed while also
         # missing the packet; flushed when the packet reaches us.
         self._subsumed: dict[int, set[int]] = {}
@@ -162,15 +154,12 @@ class RMAClientAgent(ClientAgent):
 
     def on_loss_detected(self, seq: int) -> None:
         now = self.network.events.now
-        pending = _PendingSearch(
-            seq, deadline=now + self._search_budget, detected_at=now
-        )
+        pending = _PendingSearch(seq, now + self._search_budget, now)
         self._pending[seq] = pending
         self._send_next(pending)
 
     def _send_next(self, pending: _PendingSearch) -> None:
-        now = self.network.events.now
-        past_deadline = now >= pending.deadline
+        past_deadline = self.network.events.now >= pending.deadline
         if self.detector is not None:
             # Skip peers the failure detector already declared dead —
             # their timeout would be burned on certain silence.
@@ -181,126 +170,37 @@ class RMAClientAgent(ClientAgent):
                 pending.index += 1
         if pending.index < len(self.search_order) and not past_deadline:
             peer, rtt = self.search_order[pending.index]
-            rank = pending.index
-            timeout = self.timeout_policy.timeout(rtt)
-        else:
-            limit = self.policy.max_source_attempts
-            if limit > 0 and pending.source_attempts >= limit:
-                self._abandon_search(pending)
-                return
-            pending.source_attempts += 1
-            peer = self.network.tree.root
-            rank = SOURCE_RANK
-            timeout = self.timeout_policy.timeout(self._source_rtt)
-            scale = self.policy.backoff_scale(pending.source_attempts - 1)
-            if scale != 1.0:
-                scaled = timeout * scale
-                self.instr.backoff(
-                    now, "rma", self.node, pending.seq,
-                    backoff=pending.source_attempts - 1,
-                    extra=scaled - timeout,
-                )
-                timeout = scaled
-        pending.attempts_sent += 1
-        pending.rank = rank
-        pending.peer = peer
-        pending.sent_at = now
-        # Emit before building the packet: the attempt event opens the
-        # trace span the request is stamped with.
-        self.instr.attempt(
-            now, "rma", self.node, pending.seq, pending.attempts_sent,
-            rank, peer, "started", elapsed=now - pending.detected_at,
-        )
-        trace_id, span_id = self.instr.trace_ids(self.node, pending.seq)
-        request = Packet(
-            PacketKind.REQUEST, pending.seq, origin=self.node,
-            trace_id=trace_id, span_id=span_id,
-        )
-        self.network.send_unicast(self.node, peer, request)
-        pending.timer = self.network.events.schedule(
-            timeout, lambda: self._on_timeout(pending)
-        )
-        self.instr.timer(
-            now, "rma", self.node, "rma.search", "armed",
-            deadline=now + timeout, seq=pending.seq,
+            self._send_request(
+                pending, pending.index, peer, self.timeout_policy.timeout(rtt)
+            )
+            return
+        limit = self.policy.max_source_attempts
+        if limit > 0 and pending.source_attempts >= limit:
+            self._abandon_recovery(pending)
+            return
+        pending.source_attempts += 1
+        self._send_request(
+            pending, SOURCE_RANK, self.network.tree.root,
+            self.timeout_policy.timeout(self._source_rtt),
+            pending.source_attempts - 1,
         )
 
-    def _on_timeout(self, pending: _PendingSearch) -> None:
-        if pending.seq not in self._pending:
-            return
-        now = self.network.events.now
-        self.instr.timer(
-            now, "rma", self.node, "rma.search", "fired", seq=pending.seq
-        )
-        self.instr.attempt(
-            now, "rma", self.node, pending.seq, pending.attempts_sent,
-            pending.rank, pending.peer, "timed_out",
-            elapsed=now - pending.sent_at,
-        )
+    def _on_attempt_timeout(self, pending: _PendingSearch) -> None:
         if pending.rank != SOURCE_RANK and self.detector is not None:
             died = self.detector.record_timeout(pending.peer)
             if died:
                 self.instr.fault(
-                    now, "peer.dead", node=self.node, peer=pending.peer
+                    self.network.events.now, "peer.dead",
+                    node=self.node, peer=pending.peer,
                 )
         if pending.index < len(self.search_order):
             pending.index += 1  # escalate; the deadline may cut this short
         self._send_next(pending)
 
-    def _abandon_search(self, pending: _PendingSearch) -> None:
-        """Bounded source fallback exhausted — terminate explicitly."""
-        now = self.network.events.now
-        self._pending.pop(pending.seq, None)
-        self.instr.attempt(
-            now, "rma", self.node, pending.seq, pending.attempts_sent,
-            SOURCE_RANK, self.network.tree.root, "abandoned",
-            elapsed=now - pending.detected_at,
-        )
-        self.instr.fault(
-            now, "recovery.abandoned", node=self.node, seq=pending.seq
-        )
-        self.abandon(pending.seq)
-
-    def on_recovered(self, seq: int) -> None:
-        pending = self._pending.pop(seq, None)
-        if pending is None:
-            return
-        now = self.network.events.now
-        if pending.timer is not None:
-            pending.timer.cancel()
-            self.instr.timer(
-                now, "rma", self.node, "rma.search", "cancelled", seq=seq
-            )
-        if self.log.is_recovered(self.node, seq):
-            if self.detector is not None and pending.rank != SOURCE_RANK:
-                self.detector.record_alive(pending.peer)
-            self.instr.attempt(
-                now, "rma", self.node, seq, pending.attempts_sent,
-                pending.rank, pending.peer, "succeeded",
-                elapsed=now - pending.detected_at,
-            )
-            self.instr.observe(
-                "rma.attempts_per_recovery", pending.attempts_sent
-            )
-        else:
-            self.instr.attempt(
-                now, "rma", self.node, seq, pending.attempts_sent,
-                pending.rank, pending.peer, "retracted",
-                elapsed=now - pending.detected_at,
-            )
-
     def _teardown_recoveries(self) -> None:
-        """Departure teardown: cancel search timers, forget subsumed
-        requests (the leaver no longer owes anyone a repair)."""
-        now = self.network.events.now
-        for pending in self._pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-                self.instr.timer(
-                    now, "rma", self.node, "rma.search", "cancelled",
-                    seq=pending.seq,
-                )
-        self._pending.clear()
+        """Departure teardown: also forget subsumed requests (the leaver
+        no longer owes anyone a repair)."""
+        super()._teardown_recoveries()
         self._subsumed.clear()
 
     # -- visited-receiver side ---------------------------------------------------

@@ -50,6 +50,7 @@ from repro.obs.instrumentation import (
 from repro.protocols.base import (
     ClientAgent,
     CompletionTracker,
+    PendingRecovery,
     ProtocolFactory,
     RepairDeduper,
     SourceAgentBase,
@@ -59,7 +60,6 @@ from repro.protocols.policy import (
     PeerFailureDetector,
     RecoveryPolicy,
 )
-from repro.sim.engine import Timer
 from repro.sim.network import SimNetwork
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.rng import RngStreams
@@ -109,28 +109,17 @@ class RPConfig:
     recovery_policy: RecoveryPolicy = DEFAULT_RECOVERY_POLICY
 
 
-class _PendingRecovery:
-    """State machine for one in-progress loss recovery."""
+class _PendingRecovery(PendingRecovery):
+    """One in-progress recovery walking its prioritized list."""
 
     __slots__ = (
-        "seq",
-        "attempt_index",
-        "timer",
-        "req_id",
-        "detected_at",
-        "attempts_sent",
-        "rank",
-        "peer",
-        "sent_at",
-        "strategy",
-        "target_retries",
+        "attempt_index", "req_id", "strategy", "target_retries",
         "source_attempts",
     )
 
-    def __init__(self, seq: int, strategy: RecoveryStrategy, detected_at: float = 0.0):
-        self.seq = seq
+    def __init__(self, seq: int, strategy: RecoveryStrategy, detected_at: float):
+        super().__init__(seq, detected_at)
         self.attempt_index = 0
-        self.timer: Timer | None = None
         self.req_id = -1
         # The strategy is snapshotted per recovery: a failure-detector
         # re-plan swaps the agent's list for *subsequent* losses, while
@@ -142,17 +131,12 @@ class _PendingRecovery:
         # the bounded-fallback abandonment).
         self.target_retries = 0
         self.source_attempts = 0
-        # Telemetry bookkeeping: when the loss clock started, how many
-        # requests went out, and where the latest one went.
-        self.detected_at = detected_at
-        self.attempts_sent = 0
-        self.rank = SOURCE_RANK
-        self.peer = -1
-        self.sent_at = detected_at
 
 
 class RPClientAgent(ClientAgent):
     """A client executing its prioritized recovery list."""
+
+    timer_label = "rp.attempt"
 
     def __init__(
         self,
@@ -179,15 +163,12 @@ class RPClientAgent(ClientAgent):
         #: Shared per-run failure detector (None = disabled); dead peers
         #: are skipped when a recovery walks its prioritized list.
         self.detector = detector
-        self._pending: dict[int, _PendingRecovery] = {}
         self._req_counter = 0
 
     # -- recovery state machine ------------------------------------------
 
     def on_loss_detected(self, seq: int) -> None:
-        pending = _PendingRecovery(
-            seq, self.strategy, detected_at=self.network.events.now
-        )
+        pending = _PendingRecovery(seq, self.strategy, self.network.events.now)
         self._pending[seq] = pending
         self._send_next_request(pending)
 
@@ -206,7 +187,6 @@ class RPClientAgent(ClientAgent):
         self._skip_dead_peers(pending)
         attempts = pending.strategy.attempts
         index = pending.attempt_index
-        now = self.network.events.now
         if index < len(attempts):
             peer = attempts[index].node
             rank = index
@@ -222,64 +202,21 @@ class RPClientAgent(ClientAgent):
             peer = self.network.tree.root
             rank = SOURCE_RANK
             timeout = pending.strategy.source_timeout
-        scale = self.policy.backoff_scale(pending.target_retries)
-        if scale != 1.0:
-            scaled = timeout * scale
-            self.instr.backoff(
-                now, self.protocol, self.node, pending.seq,
-                backoff=pending.target_retries, extra=scaled - timeout,
-            )
-            timeout = scaled
         self._req_counter += 1
         pending.req_id = self._req_counter
-        pending.attempts_sent += 1
-        pending.rank = rank
-        pending.peer = peer
-        pending.sent_at = now
-        # The attempt event opens the trace span, so the span context
-        # must be read *after* emitting it.
-        self.instr.attempt(
-            now, self.protocol, self.node, pending.seq,
-            pending.attempts_sent, rank, peer, "started",
-            elapsed=now - pending.detected_at,
-        )
-        trace_id, span_id = self.instr.trace_ids(self.node, pending.seq)
-        request = Packet(
-            PacketKind.REQUEST,
-            pending.seq,
-            origin=self.node,
-            req_id=self._req_counter,
-            trace_id=trace_id,
-            span_id=span_id,
-        )
-        self.network.send_unicast(self.node, peer, request)
-        pending.timer = self.network.events.schedule(
-            timeout, lambda: self._on_timeout(pending)
-        )
-        self.instr.timer(
-            now, self.protocol, self.node, "rp.attempt", "armed",
-            deadline=now + timeout, seq=pending.seq,
+        self._send_request(
+            pending, rank, peer, timeout, pending.target_retries,
+            req_id=pending.req_id,
         )
 
-    def _on_timeout(self, pending: _PendingRecovery) -> None:
-        if pending.seq not in self._pending:
-            return  # already recovered; timer raced with teardown
-        now = self.network.events.now
-        self.instr.timer(
-            now, self.protocol, self.node, "rp.attempt", "fired",
-            seq=pending.seq,
-        )
-        self.instr.attempt(
-            now, self.protocol, self.node, pending.seq,
-            pending.attempts_sent, pending.rank, pending.peer, "timed_out",
-            elapsed=now - pending.sent_at,
-        )
+    def _on_attempt_timeout(self, pending: _PendingRecovery) -> None:
         if pending.rank != SOURCE_RANK:
             if self.detector is not None:
                 died = self.detector.record_timeout(pending.peer)
                 if died:
                     self.instr.fault(
-                        now, "peer.dead", node=self.node, peer=pending.peer
+                        self.network.events.now, "peer.dead",
+                        node=self.node, peer=pending.peer,
                     )
             if (
                 pending.target_retries + 1 < self.policy.max_peer_retries
@@ -297,65 +234,6 @@ class RPClientAgent(ClientAgent):
             # Stay on the source; the retry count drives the backoff.
             pending.target_retries += 1
         self._send_next_request(pending)
-
-    def _abandon_recovery(self, pending: _PendingRecovery) -> None:
-        """Bounded source fallback exhausted — terminate explicitly."""
-        now = self.network.events.now
-        self._pending.pop(pending.seq, None)
-        self.instr.attempt(
-            now, self.protocol, self.node, pending.seq,
-            pending.attempts_sent, SOURCE_RANK, self.network.tree.root,
-            "abandoned", elapsed=now - pending.detected_at,
-        )
-        self.instr.fault(
-            now, "recovery.abandoned", node=self.node, seq=pending.seq
-        )
-        self.abandon(pending.seq)
-
-    def on_recovered(self, seq: int) -> None:
-        pending = self._pending.pop(seq, None)
-        if pending is None:
-            return
-        now = self.network.events.now
-        if pending.timer is not None:
-            pending.timer.cancel()
-            self.instr.timer(
-                now, self.protocol, self.node, "rp.attempt", "cancelled",
-                seq=seq,
-            )
-        if self.log.is_recovered(self.node, seq):
-            if self.detector is not None and pending.rank != SOURCE_RANK:
-                self.detector.record_alive(pending.peer)
-            # Success is attributed to the outstanding attempt: repairs
-            # raced from an earlier rank are rare and indistinguishable
-            # here without packet provenance.
-            self.instr.attempt(
-                now, self.protocol, self.node, seq,
-                pending.attempts_sent, pending.rank, pending.peer,
-                "succeeded", elapsed=now - pending.detected_at,
-            )
-            self.instr.observe(
-                f"{self.protocol}.attempts_per_recovery", pending.attempts_sent
-            )
-        else:
-            # The original DATA arrived late — the detection was false.
-            self.instr.attempt(
-                now, self.protocol, self.node, seq,
-                pending.attempts_sent, pending.rank, pending.peer,
-                "retracted", elapsed=now - pending.detected_at,
-            )
-
-    def _teardown_recoveries(self) -> None:
-        """Departure teardown: cancel every armed attempt timer."""
-        now = self.network.events.now
-        for pending in self._pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-                self.instr.timer(
-                    now, self.protocol, self.node, "rp.attempt", "cancelled",
-                    seq=pending.seq,
-                )
-        self._pending.clear()
 
     # -- serving peers ------------------------------------------------------
 
@@ -395,21 +273,13 @@ class RPClientAgent(ClientAgent):
         pending = self._pending.get(packet.seq)
         if pending is None or packet.req_id != pending.req_id:
             return  # stale reply from an already-advanced attempt
-        now = self.network.events.now
         if self.detector is not None:
             # "Don't have" is still proof of life.
             self.detector.record_alive(packet.origin)
         if pending.timer is not None:
             pending.timer.cancel()
-            self.instr.timer(
-                now, self.protocol, self.node, "rp.attempt", "cancelled",
-                seq=pending.seq,
-            )
-        self.instr.attempt(
-            now, self.protocol, self.node, pending.seq,
-            pending.attempts_sent, pending.rank, pending.peer, "nacked",
-            elapsed=now - pending.sent_at,
-        )
+            self._timer_event(pending, "cancelled")
+        self._attempt_event(pending, "nacked", pending.sent_at)
         if pending.attempt_index < len(pending.strategy.attempts):
             # No point retrying a peer that just said "don't have":
             # advance regardless of the per-peer retry budget.

@@ -32,6 +32,7 @@ from repro.obs.instrumentation import NULL_INSTRUMENTATION, Instrumentation
 from repro.protocols.base import (
     ClientAgent,
     CompletionTracker,
+    PendingRecovery,
     ProtocolFactory,
     SourceAgentBase,
 )
@@ -163,19 +164,21 @@ class _SRMRepairLogic:
         )
 
 
-class _PendingRequest:
-    __slots__ = ("seq", "backoff", "timer", "detected_at", "attempts_sent")
+class _PendingRequest(PendingRecovery):
+    __slots__ = ("backoff",)
 
-    def __init__(self, seq: int, detected_at: float = 0.0):
-        self.seq = seq
+    def __init__(self, seq: int, detected_at: float):
+        # SRM has no prioritized list; every NACK flood addresses the
+        # whole group, recorded as rank 0, peer -1.
+        super().__init__(seq, detected_at, rank=0, peer=-1)
         self.backoff = 0
-        self.timer: Timer | None = None
-        self.detected_at = detected_at
-        self.attempts_sent = 0
 
 
 class SRMClientAgent(ClientAgent, _SRMRepairLogic):
     """A group member running SRM."""
+
+    protocol = "srm"
+    timer_label = "srm.request"
 
     def __init__(
         self,
@@ -197,7 +200,6 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
         )
         self.config = config
         self._rng = rng
-        self._requests: dict[int, _PendingRequest] = {}
 
     # -- request side -------------------------------------------------------
 
@@ -212,37 +214,27 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
         if pending.timer is not None:
             pending.timer.cancel()
         delay = self._request_delay(pending.backoff)
-        now = self.network.events.now
         pending.timer = self.network.events.schedule(
             delay, lambda: self._fire_request(pending)
         )
-        self.instr.timer(
-            now, "srm", self.node, "srm.request", "armed",
-            deadline=now + delay, seq=pending.seq,
+        self._timer_event(
+            pending, "armed", deadline=self.network.events.now + delay
         )
 
     def _fire_request(self, pending: _PendingRequest) -> None:
-        if pending.seq not in self._requests:
+        if pending.seq not in self._pending:
             return
-        now = self.network.events.now
-        self.instr.timer(
-            now, "srm", self.node, "srm.request", "fired", seq=pending.seq
-        )
+        self._timer_event(pending, "fired")
         limit = self.config.max_request_rounds
         if limit > 0 and pending.attempts_sent >= limit:
             # Bounded mode: the wait after the final NACK flood expired
             # unanswered — terminate explicitly instead of flooding
             # forever.  (A repair that still arrives later is accepted
             # and logged as recovered.)
-            self._abandon_request(pending)
+            self._abandon_recovery(pending)
             return
         pending.attempts_sent += 1
-        # SRM has no prioritized list; every NACK flood addresses the
-        # whole group, recorded as rank 0.
-        self.instr.attempt(
-            now, "srm", self.node, pending.seq, pending.attempts_sent,
-            0, -1, "started", elapsed=now - pending.detected_at,
-        )
+        self._attempt_event(pending, "started", pending.detected_at)
         # The attempt event opens the trace span, so the span context
         # must be read *after* emitting it.
         trace_id, span_id = self.instr.trace_ids(self.node, pending.seq)
@@ -255,65 +247,22 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
         )
         # Wait (with backoff) for the repair; if it is lost, NACK again.
         pending.backoff += 1
-        self.instr.backoff(now, "srm", self.node, pending.seq, pending.backoff)
+        self.instr.backoff(
+            self.network.events.now, "srm", self.node, pending.seq,
+            pending.backoff,
+        )
         self._arm_request(pending)
-
-    def _abandon_request(self, pending: _PendingRequest) -> None:
-        now = self.network.events.now
-        self._requests.pop(pending.seq, None)
-        if pending.timer is not None:
-            pending.timer.cancel()
-        self.instr.attempt(
-            now, "srm", self.node, pending.seq, pending.attempts_sent, 0, -1,
-            "abandoned", elapsed=now - pending.detected_at,
-        )
-        self.instr.fault(
-            now, "recovery.abandoned", node=self.node, seq=pending.seq
-        )
-        self.abandon(pending.seq)
 
     def on_loss_detected(self, seq: int) -> None:
-        pending = _PendingRequest(seq, detected_at=self.network.events.now)
-        self._requests[seq] = pending
+        pending = _PendingRequest(seq, self.network.events.now)
+        self._pending[seq] = pending
         self._arm_request(pending)
-
-    def on_recovered(self, seq: int) -> None:
-        pending = self._requests.pop(seq, None)
-        if pending is None:
-            return
-        now = self.network.events.now
-        if pending.timer is not None:
-            pending.timer.cancel()
-            self.instr.timer(
-                now, "srm", self.node, "srm.request", "cancelled", seq=seq
-            )
-        if self.log.is_recovered(self.node, seq):
-            self.instr.attempt(
-                now, "srm", self.node, seq, pending.attempts_sent, 0, -1,
-                "succeeded", elapsed=now - pending.detected_at,
-            )
-            if pending.attempts_sent:
-                self.instr.observe(
-                    "srm.attempts_per_recovery", pending.attempts_sent
-                )
-        else:
-            self.instr.attempt(
-                now, "srm", self.node, seq, pending.attempts_sent, 0, -1,
-                "retracted", elapsed=now - pending.detected_at,
-            )
 
     def _teardown_recoveries(self) -> None:
         """Departure teardown: cancel request *and* repair timers (a
         leaver owes nobody a repair either)."""
+        super()._teardown_recoveries()
         now = self.network.events.now
-        for pending in self._requests.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-                self.instr.timer(
-                    now, "srm", self.node, "srm.request", "cancelled",
-                    seq=pending.seq,
-                )
-        self._requests.clear()
         for seq, timer in self._repair_timers.items():
             timer.cancel()
             self.instr.timer(
@@ -328,7 +277,7 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
         if packet.kind is not PacketKind.NACK:
             return
         seq = packet.seq
-        pending = self._requests.get(seq)
+        pending = self._pending.get(seq)
         if pending is not None:
             # Someone else asked first: suppress and back off.
             pending.backoff += 1

@@ -351,3 +351,35 @@ class TestFailureDetectorIntegration:
         )
         assert artifacts.summary.fully_recovered
         assert instr.registry.counter("fault.peer.dead").value >= 1
+
+
+UNICAST_FACTORIES = [p for p in HARDENED_FACTORIES if p.id != "srm"]
+
+
+class TestAttemptTelemetry:
+    @pytest.mark.parametrize("make_factory", UNICAST_FACTORIES)
+    def test_timed_out_elapsed_is_time_since_its_start(self, make_factory):
+        # The source and every peer are silent, so each attempt times
+        # out, retries back off, and the recovery ends abandoned.  A
+        # ``timed_out`` event's ``elapsed`` is sim-time since the
+        # attempt it closes started — backoff included.
+        from repro.obs.events import AttemptEvent
+        from repro.obs.instrumentation import Instrumentation
+
+        built, schedule, _ = _abandonment_scenario()
+        instr = Instrumentation.recording(profile=False)
+        run_protocol_detailed(
+            built, make_factory(), instrumentation=instr, faults=schedule
+        )
+        started = {}
+        timed_out = 0
+        for event in instr.ring_events():
+            if not isinstance(event, AttemptEvent):
+                continue
+            key = (event.client, event.seq, event.attempt)
+            if event.status == "started":
+                started[key] = event.time
+            elif event.status == "timed_out":
+                assert event.elapsed == event.time - started[key]
+                timed_out += 1
+        assert timed_out >= RecoveryPolicy.hardened().max_source_attempts

@@ -162,9 +162,9 @@ class TestSuppressionState:
         source.next_seq = 2
         agent = agents[world.CA]
         agent.on_packet(data(1))  # lost 0: timer armed
-        assert 0 in agent._requests
+        assert 0 in agent._pending
         agent.on_packet(Packet(PacketKind.REPAIR, 0, origin=world.S))
-        assert 0 not in agent._requests
+        assert 0 not in agent._pending
 
     def test_nack_for_unknown_seq_from_holder_arms_repair(self, world):
         agents, _ = install_srm(world)
